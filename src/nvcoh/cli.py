@@ -31,9 +31,11 @@ from .inference import (
     p_values,
 )
 from .rank_core import DegenerateRanksError, derive_seed
-from .simulation import run_study
+from .simulation import CASES, DEFAULT_MODULUS, run_study
 from .spectral import (
     CANONICAL_BANDS,
+    BlockTooLongError,
+    EmptyBandError,
     FrequencyBand,
     TimeSeriesMatrix,
     nvc_profile,
@@ -390,6 +392,10 @@ def cmd_baseline(args) -> int:
     config.validate_against(ts.labels)
     ts = _prepare_recording(ts, args.discard_secs, args.standardize)
     bands = _parse_bands(args.bands)
+    nyquist = ts.fs / 2
+    for band in bands:
+        if band.lo_hz <= 0 or band.hi_hz >= nyquist:
+            raise UsageError(f"band {band.name} must lie strictly inside (0, {nyquist}) Hz")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -557,6 +563,36 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
+# parsed attribute -> (test its value must pass, rule quoted when it fails);
+# each command checks the attributes it has
+_ARG_RULES = {
+    "seed": (lambda v: v >= 0, "a non-negative integer"),
+    "fs": (lambda v: 0 < v < math.inf, "a positive number"),
+    "block_len": (lambda v: v >= 4, "at least 4"),
+    "q_perms": (lambda v: v is None or v >= 1, "at least 1"),
+    "null_reps": (lambda v: v >= 1, "at least 1"),
+    "alpha": (lambda v: 0 < v < 1, "inside (0, 1)"),
+    "discard_secs": (lambda v: 0 <= v < math.inf, "a non-negative number"),
+    "threads": (lambda v: v >= 1, "at least 1"),
+    "max_lag": (lambda v: v >= 0, "at least 0"),
+    "group_perms": (lambda v: v >= 1, "at least 1"),
+    "cases": (lambda v: set(v) <= set(CASES), f"among {sorted(CASES)}"),
+    "n_secs": (lambda v: all(10 <= s < math.inf for s in v), "at least 10 each"),
+    "reps": (lambda v: v >= 10, "at least 10"),
+    "modulus": (lambda v: 0 < v < 1, "inside (0, 1)"),
+    "n_blocks": (lambda v: v >= 2, "at least 2"),
+    "q": (lambda v: v >= 1, "at least 1"),
+}
+
+
+def _check_args(args) -> None:
+    """Reject parameter values no command can run with, naming the flag."""
+    for name, (ok, rule) in _ARG_RULES.items():
+        if hasattr(args, name) and not ok(getattr(args, name)):
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be {rule}, got {getattr(args, name)}")
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
@@ -614,7 +650,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--fs", type=float, default=100.0)
     ps.add_argument("--measure", choices=("t", "tbar", "tstar"), default="tbar")
     ps.add_argument("--null-reps", type=int, default=DEFAULT_NULL_REPS)
-    ps.add_argument("--modulus", type=float, default=0.97)
+    ps.add_argument("--modulus", type=float, default=DEFAULT_MODULUS)
     ps.add_argument("--threads", type=int, default=1)
     _add_common(ps)
     ps.set_defaults(func=cmd_simulate)
@@ -638,11 +674,12 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
+        _check_args(args)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, EmptyBandError) as exc:
         print(f"nvc: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, BlockTooLongError) as exc:
         print(f"nvc: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DegenerateRanksError, DegenerateDenominatorError) as exc:

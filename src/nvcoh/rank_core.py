@@ -11,6 +11,23 @@ Conventions shared by every estimator in this package:
 
 The tie-break convention is part of the public contract: any independent
 re-implementation that follows it reproduces this module's output bit for bit.
+
+Neighbour search runs in two steps.  `neighbor_candidates` needs no seed: it
+returns each row's nearest other row and, for rows with several exact
+minimisers, their candidates; `NeighborCandidates.resolve` then draws for one
+seed.  A caller with several xi terms on the same predictors (the chained
+statistic in `vector_measure`) searches once and resolves ties per term.
+One selector picks the backend: sort-and-scan for a single column, a scan of
+the squared-distance matrix for ``n < _EXHAUSTIVE_MAX_N`` rows, and above
+that a k-d tree whose relative near-ties (``_NEAR_TIE_RTOL``) are re-checked
+with the exact metric.  The threshold, 160, is where the two backends cost
+the same for both the chained statistic and a single search (README,
+"Performance").  The matrix is the contract's row sum over C-contiguous rows.
+numpy sums at most seven terms strictly left to right, so for up to seven
+columns the same matrix results from adding per-column squared differences
+in column order, which lets callers share partial sums; numpy sums eight or
+more terms pairwise, so wider matrices are computed by the contract
+expression itself.
 """
 from __future__ import annotations
 
@@ -23,19 +40,26 @@ from scipy.spatial import cKDTree
 __all__ = [
     "DegenerateRanksError",
     "RankTriple",
+    "NeighborCandidates",
     "NeighborIndex",
     "derive_seed",
     "compute_ranks",
+    "neighbor_candidates",
     "nearest_neighbors",
     "xi_from_ranks",
     "xi_n",
     "xi_null",
 ]
 
-# below this row count the k-d tree costs more than a vectorised scan
-_EXHAUSTIVE_MAX_N = 64
+# below this row count the k-d tree costs more than a squared-distance scan
+# (measured crossover of the chained statistic and of one search, d = 3)
+_EXHAUSTIVE_MAX_N = 160
 # relative gap under which two neighbor distances are re-checked exactly
 _NEAR_TIE_RTOL = 1e-12
+# numpy reduces a row of at most this many terms strictly left to right, so
+# squared differences summed column by column in that order equal the
+# contract's ``.sum(axis=-1)`` bit for bit; wider rows are summed pairwise
+_MAX_ACCUMULATED_WIDTH = 7
 
 
 class DegenerateRanksError(ValueError):
@@ -137,13 +161,37 @@ def _choose(candidates: np.ndarray, seed: int, j: int) -> int:
     return int(candidates[rng.integers(candidates.shape[0])])
 
 
-def _nn_1d(x: np.ndarray, seed: int) -> np.ndarray:
+class NeighborCandidates:
+    """Seed-free nearest-neighbour search result of one predictor matrix.
+
+    ``n_of`` holds each row's unique nearest other row; ``tied`` lists, for
+    every row with several exact minimisers, the row and its ascending
+    candidates.  `resolve` applies the tie-break convention for one seed, so a
+    single search serves every seed that shares the predictors.
+    """
+
+    __slots__ = ("n_of", "tied")
+
+    def __init__(self, n_of: np.ndarray, tied=()):
+        self.n_of = n_of
+        self.tied = tuple(tied)
+
+    def resolve(self, seed: int) -> np.ndarray:
+        if not self.tied:
+            return self.n_of
+        n_of = self.n_of.copy()
+        for j, cand in self.tied:
+            n_of[j] = _choose(cand, seed, j)
+        return n_of
+
+
+def _nn_1d(x: np.ndarray) -> NeighborCandidates:
     """Sort-and-scan neighbor search for scalar predictors, O(n log n)."""
     n = x.shape[0]
     order = np.argsort(x, kind="stable")
     sx = x[order]
     if n > 2 and (sx[1:] != sx[:-1]).all():
-        return _nn_1d_distinct(order, sx, seed)
+        return _nn_1d_distinct(order, sx)
 
     new_run = np.empty(n, dtype=bool)
     new_run[0] = True
@@ -178,6 +226,7 @@ def _nn_1d(x: np.ndarray, seed: int) -> np.ndarray:
         n_of[order[uniq_right]] = order[starts[run_of[uniq_right] + 1]]
 
     # everything else has several exactly-minimising candidates
+    tied = []
     for p in np.flatnonzero(n_of[order] < 0):
         rid = run_of[p]
         if m[p] >= 3:
@@ -192,11 +241,11 @@ def _nn_1d(x: np.ndarray, seed: int) -> np.ndarray:
                 order[starts[rid - 1]: starts[rid - 1] + lens[rid - 1]],
                 order[starts[rid + 1]: starts[rid + 1] + lens[rid + 1]],
             ])
-        n_of[order[p]] = _choose(np.sort(cand), seed, int(order[p]))
-    return n_of
+        tied.append((int(order[p]), np.sort(cand)))
+    return NeighborCandidates(n_of, tied)
 
 
-def _nn_1d_distinct(order: np.ndarray, sx: np.ndarray, seed: int) -> np.ndarray:
+def _nn_1d_distinct(order: np.ndarray, sx: np.ndarray) -> NeighborCandidates:
     """Fast path for all-distinct scalar predictors: compare adjacent gaps."""
     n = sx.shape[0]
     gaps = (sx[1:] - sx[:-1]) ** 2
@@ -206,10 +255,9 @@ def _nn_1d_distinct(order: np.ndarray, sx: np.ndarray, seed: int) -> np.ndarray:
     nn_pos = np.where(left < right, pos - 1, pos + 1)
     n_of = np.empty(n, dtype=np.int64)
     n_of[order] = order[nn_pos]
-    for p in np.flatnonzero(left == right):  # exactly equal squared gaps
-        cand = np.sort(order[[p - 1, p + 1]])
-        n_of[order[p]] = _choose(cand, seed, int(order[p]))
-    return n_of
+    tied = [(int(order[p]), np.sort(order[[p - 1, p + 1]]))
+            for p in np.flatnonzero(left == right)]  # exactly equal squared gaps
+    return NeighborCandidates(n_of, tied)
 
 
 def _exact_candidates(v: np.ndarray, j: int, idx: np.ndarray) -> np.ndarray:
@@ -220,19 +268,42 @@ def _exact_candidates(v: np.ndarray, j: int, idx: np.ndarray) -> np.ndarray:
     return idx[sq == sq.min()]
 
 
-def _nn_exhaustive(v: np.ndarray, seed: int) -> np.ndarray:
-    sq = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
+def _column_sq(z: np.ndarray) -> np.ndarray:
+    """Squared differences of one column between all rows, infinite diagonal.
+
+    Summing these keeps the diagonal infinite and leaves every other entry
+    as in the contract metric.
+    """
+    sq = (z[:, None] - z[None, :]) ** 2
     np.fill_diagonal(sq, np.inf)
-    mins = sq.min(axis=1)
-    n_of = sq.argmin(axis=1).astype(np.int64)
-    counts = (sq == mins[:, None]).sum(axis=1)
-    for j in np.flatnonzero(counts > 1):
-        cand = np.flatnonzero(sq[j] == mins[j])
-        n_of[j] = _choose(cand, seed, int(j))
-    return n_of
+    return sq
 
 
-def _nn_kdtree(v: np.ndarray, seed: int) -> np.ndarray:
+def _squared_distances(v: np.ndarray) -> np.ndarray:
+    """Contract metric between all rows, with an infinite diagonal."""
+    if v.shape[1] > _MAX_ACCUMULATED_WIDTH:
+        sq = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
+        np.fill_diagonal(sq, np.inf)
+        return sq
+    sq = _column_sq(v[:, 0])
+    for c in range(1, v.shape[1]):
+        sq += _column_sq(v[:, c])
+    return sq
+
+
+def _nn_exhaustive(sq: np.ndarray) -> NeighborCandidates:
+    """Row-wise minimisers of a squared-distance matrix with infinite diagonal."""
+    n = sq.shape[0]
+    n_of = sq.argmin(axis=1)
+    eq = sq == sq[np.arange(n), n_of][:, None]
+    if np.count_nonzero(eq) == n:  # one minimiser per row
+        return NeighborCandidates(n_of)
+    tied = [(int(j), np.flatnonzero(eq[j]))
+            for j in np.flatnonzero(np.count_nonzero(eq, axis=1) > 1)]
+    return NeighborCandidates(n_of, tied)
+
+
+def _nn_kdtree(v: np.ndarray) -> NeighborCandidates:
     n = v.shape[0]
     tree = cKDTree(v)
     dd, ii = tree.query(v, k=3)
@@ -243,12 +314,41 @@ def _nn_kdtree(v: np.ndarray, seed: int) -> np.ndarray:
     n_of = np.take_along_axis(ii, two[:, :1], axis=1).ravel().astype(np.int64)
     # a near-tie in tree distances is re-resolved with the exact metric
     near = (d2 - d1) <= d1 * _NEAR_TIE_RTOL
+    tied = []
     for j in np.flatnonzero(near):
         radius = 0.0 if d2[j] == 0.0 else d2[j] * (1.0 + 1e-9)
         ball = tree.query_ball_point(v[j], radius)
         cand = _exact_candidates(v, int(j), np.asarray(ball))
-        n_of[j] = _choose(cand, seed, int(j))
-    return n_of
+        if cand.shape[0] == 1:
+            n_of[j] = cand[0]
+        else:
+            tied.append((int(j), cand))
+    return NeighborCandidates(n_of, tied)
+
+
+def neighbor_candidates(v: np.ndarray, sq=None) -> NeighborCandidates:
+    """Seed-free neighbour search of a finite (n, d) matrix; the one backend choice.
+
+    Scalar predictors use a sort-and-scan pass, ``n < _EXHAUSTIVE_MAX_N`` rows
+    a scan of the squared-distance matrix, larger ``n`` a k-d tree whose
+    near-ties are re-checked with the exact metric.  ``sq``, when given, is a
+    callable returning that matrix as per-column squared differences summed
+    in the column order of ``v`` (so a caller can share partial sums); it is
+    called only on the exhaustive path and for at most
+    ``_MAX_ACCUMULATED_WIDTH`` columns.
+    """
+    # numpy sums a row of eight or more entries pairwise only when the row is
+    # contiguous in memory, as in the contract; column-major input would be
+    # summed left to right
+    v = np.ascontiguousarray(v)
+    n, d = v.shape
+    if d == 1:
+        return _nn_1d(v[:, 0].copy())
+    if n >= _EXHAUSTIVE_MAX_N:
+        return _nn_kdtree(v)
+    if sq is None or d > _MAX_ACCUMULATED_WIDTH:
+        return _nn_exhaustive(_squared_distances(v))
+    return _nn_exhaustive(sq())
 
 
 def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
@@ -263,34 +363,33 @@ def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
         draw uniformly among them from a generator seeded with ``(seed, j)``;
         results are deterministic for a fixed seed.
 
-    Scalar predictors use a sort-and-scan pass; higher dimensions use a k-d
-    tree with a vectorised exhaustive fallback for small n.  Exact duplicates
-    of a row are valid neighbors at distance zero.
+    See `neighbor_candidates` for the backends.  Exact duplicates of a row
+    are valid neighbors at distance zero.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 1:
         v = v[:, None]
     if v.ndim != 2 or v.shape[1] < 1:
         raise ValueError("v must be an (n, d) matrix")
-    n = v.shape[0]
-    if n < 2:
+    if v.shape[0] < 2:
         raise ValueError("need at least two rows")
     _check_values(v, "v")
-    if v.shape[1] == 1:
-        n_of = _nn_1d(np.ascontiguousarray(v[:, 0]), seed)
-    elif n < _EXHAUSTIVE_MAX_N:
-        n_of = _nn_exhaustive(v, seed)
-    else:
-        n_of = _nn_kdtree(v, seed)
-    return NeighborIndex(n_of=n_of, tie_seed=seed)
+    return NeighborIndex(n_of=neighbor_candidates(v).resolve(seed), tie_seed=seed)
 
 
-def _xi_ratio(r: np.ndarray, l: np.ndarray, r_nn: np.ndarray) -> float:
-    n = r.shape[0]
-    num = (n * np.minimum(r, r_nn) - l * l).sum()
-    den = (l * (n - l)).sum()
+def _xi_denominator(l: np.ndarray) -> np.int64:
+    """``sum(l*(n-l))``: depends on the response alone; zero if all tied."""
+    den = (l * (l.shape[0] - l)).sum()
     if den == 0:
         raise DegenerateRanksError("all response values are tied")
+    return den
+
+
+def _xi_ratio(r: np.ndarray, l: np.ndarray, r_nn: np.ndarray, den=None) -> float:
+    n = r.shape[0]
+    num = (n * np.minimum(r, r_nn) - l * l).sum()
+    if den is None:
+        den = _xi_denominator(l)
     return float(num / den)
 
 

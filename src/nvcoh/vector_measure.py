@@ -11,6 +11,16 @@ Every xi sub-evaluation is keyed by (direction, response column, set of
 predictor columns) and seeded from that key, so identical terms appearing
 under several column orderings are computed once and the whole computation is
 reproducible term by term.
+
+One `_TermGraph` per feature pair evaluates every term of `t_n`, `t_n_bar`
+and `t_n_star`.  Ranks and the xi denominator are computed once per response
+column.  The seed-free neighbour search runs once per distinct predictor set
+and is shared by all terms and by both directions of `t_n_star`; below
+`rank_core._EXHAUSTIVE_MAX_N` rows its squared distances are summed from
+per-column pieces shared between sets with a common prefix (up to seven
+columns, see `rank_core`).  Exact ties are then resolved per term with that
+term's seed, derived only when the search found a tie, so every term equals
+``xi_n(response, predictors, seed=term_seed(...))`` bit for bit.
 """
 from __future__ import annotations
 
@@ -20,7 +30,8 @@ from itertools import permutations as iter_permutations
 
 import numpy as np
 
-from .rank_core import derive_seed, xi_n
+from . import rank_core
+from .rank_core import derive_seed, xi_n  # noqa: F401  (bench/layers.py wraps xi_n here)
 
 __all__ = [
     "DegenerateDenominatorError",
@@ -143,34 +154,82 @@ def term_seed(seed: int, direction: str, response: str, predictors) -> int:
     return derive_seed(seed, direction, response, tuple(sorted(predictors)))
 
 
-def _columns(pair: FeatureMatrixPair) -> dict[str, np.ndarray]:
-    cols = {f"x{i}": pair.x[:, i] for i in range(pair.p)}
-    cols.update({f"y{i}": pair.y[:, i] for i in range(pair.q)})
-    return cols
+class _TermGraph:
+    """Every xi term of one pair's statistic, evaluated from shared pieces.
+
+    Columns are indexed by the position of their label (``x0 .. y{q-1}``) in
+    string order, so a sorted index tuple is a label-sorted predictor set:
+    the summation order of the squared distances and the ``repr`` entering
+    `term_seed` both follow it.  Ranks are computed once per response column,
+    the neighbour search once per predictor set (shared by all terms and both
+    directions), and a term's seed is derived only if its search has ties.
+    """
+
+    def __init__(self, pair: FeatureMatrixPair, seed: int):
+        labels = [f"x{i}" for i in range(pair.p)] + [f"y{i}" for i in range(pair.q)]
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        self.labels = [labels[c] for c in order]
+        self.z = np.hstack([pair.x, pair.y])[:, order]
+        pos = {c: i for i, c in enumerate(order)}
+        self.x_cols = tuple(pos[i] for i in range(pair.p))
+        self.y_cols = tuple(pos[pair.p + i] for i in range(pair.q))
+        self.seed = seed
+        self._ranks: dict = {}
+        self._neighbors: dict = {}
+        self._sums: dict = {}
+        self._terms: dict = {}
+
+    def xi(self, direction: str, response: int, predictors: tuple[int, ...]) -> float:
+        preds = tuple(sorted(predictors))
+        key = (direction, response, preds)
+        val = self._terms.get(key)
+        if val is None:
+            r, l, den = self._ranks_of(response)
+            nb = self._neighbors_of(preds)
+            n_of = nb.resolve(term_seed(self.seed, direction, self.labels[response],
+                                        [self.labels[c] for c in preds])) \
+                if nb.tied else nb.n_of
+            val = self._terms[key] = rank_core._xi_ratio(r, l, r[n_of], den)
+        return val
+
+    def _ranks_of(self, col: int):
+        """``(r, l)`` and the xi denominator of one response column."""
+        rld = self._ranks.get(col)
+        if rld is None:
+            r, l = rank_core.compute_ranks(self.z[:, col])
+            rld = self._ranks[col] = (r, l, rank_core._xi_denominator(l))
+        return rld
+
+    def _neighbors_of(self, preds: tuple[int, ...]):
+        nb = self._neighbors.get(preds)
+        if nb is None:
+            nb = self._neighbors[preds] = rank_core.neighbor_candidates(
+                self.z[:, preds], sq=lambda: self._sq(preds))
+        return nb
+
+    def _sq(self, preds: tuple[int, ...]) -> np.ndarray:
+        """Squared distances over ``preds``, summed column by column in order.
+
+        Every sum is kept, so predictor sets that share a prefix share its work.
+        """
+        sq = self._sums.get(preds)
+        if sq is None:
+            if len(preds) == 1:
+                sq = rank_core._column_sq(self.z[:, preds[0]])
+            else:
+                sq = self._sq(preds[:-1]) + self._sq(preds[-1:])
+            self._sums[preds] = sq
+        return sq
 
 
-def _xi_term(cols, response: str, predictors: tuple[str, ...], seed: int,
-             direction: str, cache: dict) -> float:
-    key = (response, predictors)
-    val = cache.get(key)
-    if val is None:
-        s = term_seed(seed, direction, response, predictors)
-        v = np.column_stack([cols[p] for p in predictors])
-        val = xi_n(cols[response], v, seed=s)
-        cache[key] = val
-    return val
-
-
-def _t_for_order(cols, x_labels, y_order, seed, direction, cache, eps) -> float:
+def _t_for_order(graph: _TermGraph, direction: str, x_cols, y_order, eps) -> float:
     q = len(y_order)
     num_sum = 0.0
     den_sum = 0.0
     for ell, resp in enumerate(y_order):
-        preds = tuple(sorted(x_labels + y_order[:ell]))
-        num_sum += _xi_term(cols, resp, preds, seed, direction, cache)
+        num_sum += graph.xi(direction, resp, x_cols + y_order[:ell])
         if ell >= 1:
-            dpreds = tuple(sorted(y_order[:ell]))
-            den_sum += _xi_term(cols, resp, dpreds, seed, direction, cache)
+            den_sum += graph.xi(direction, resp, y_order[:ell])
     denominator = q - den_sum
     if denominator <= eps:
         raise DegenerateDenominatorError(
@@ -187,19 +246,13 @@ def t_n(pair: FeatureMatrixPair, seed: int = 0, eps: float = DENOM_EPS) -> float
     defensive: with valid rank data each xi term is bounded by 1, so the
     response-only denominator stays at or above 1.
     """
-    cols = _columns(pair)
-    x_labels = tuple(f"x{i}" for i in range(pair.p))
-    y_order = tuple(f"y{i}" for i in range(pair.q))
-    return _t_for_order(cols, x_labels, y_order, seed, "y_on_x", {}, eps)
+    graph = _TermGraph(pair, seed)
+    return _t_for_order(graph, "y_on_x", graph.x_cols, graph.y_cols, eps)
 
 
-def _t_bar(cols, x_labels, y_labels, plan, seed, direction, eps) -> float:
-    cache: dict = {}
-    vals = [
-        _t_for_order(cols, x_labels, tuple(y_labels[i] for i in perm),
-                     seed, direction, cache, eps)
-        for perm in plan.perms
-    ]
+def _t_bar(graph: _TermGraph, direction: str, x_cols, y_cols, plan, eps) -> float:
+    vals = [_t_for_order(graph, direction, x_cols, tuple(y_cols[i] for i in perm), eps)
+            for perm in plan.perms]
     return float(np.mean(vals))
 
 
@@ -210,10 +263,8 @@ def t_n_bar(pair: FeatureMatrixPair, plan: PermutationPlan | None = None,
         plan = make_plan(pair.q, seed=derive_seed(seed, "plan", "y"))
     if plan.q != pair.q:
         raise ValueError(f"plan is for q={plan.q}, pair has q={pair.q}")
-    cols = _columns(pair)
-    x_labels = tuple(f"x{i}" for i in range(pair.p))
-    y_labels = tuple(f"y{i}" for i in range(pair.q))
-    return _t_bar(cols, x_labels, y_labels, plan, seed, "y_on_x", eps)
+    graph = _TermGraph(pair, seed)
+    return _t_bar(graph, "y_on_x", graph.x_cols, graph.y_cols, plan, eps)
 
 
 def t_n_star(pair: FeatureMatrixPair, plan_x: PermutationPlan | None = None,
@@ -226,9 +277,7 @@ def t_n_star(pair: FeatureMatrixPair, plan_x: PermutationPlan | None = None,
         plan_x = make_plan(pair.p, seed=derive_seed(seed, "plan", "x"))
     if plan_y.q != pair.q or plan_x.q != pair.p:
         raise ValueError("plan dimensions do not match the pair")
-    cols = _columns(pair)
-    x_labels = tuple(f"x{i}" for i in range(pair.p))
-    y_labels = tuple(f"y{i}" for i in range(pair.q))
-    forward = _t_bar(cols, x_labels, y_labels, plan_y, seed, "y_on_x", eps)
-    reverse = _t_bar(cols, y_labels, x_labels, plan_x, seed, "x_on_y", eps)
+    graph = _TermGraph(pair, seed)
+    forward = _t_bar(graph, "y_on_x", graph.x_cols, graph.y_cols, plan_y, eps)
+    reverse = _t_bar(graph, "x_on_y", graph.y_cols, graph.x_cols, plan_x, eps)
     return max(forward, reverse)

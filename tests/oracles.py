@@ -54,16 +54,21 @@ def xi_reference(u, v, seed=0):
     return float(Fraction(num, den))
 
 
-def t_reference(x, y, seed=0, direction="y_on_x", y_order=None):
-    """Chained statistic evaluated term by term with brute-force xi."""
+def t_reference(x, y, seed=0, direction="y_on_x", y_order=None, labels=("x", "y")):
+    """Chained statistic evaluated term by term with brute-force xi.
+
+    ``labels`` are the column-label prefixes of the predictor and response
+    blocks; the reverse direction of the symmetric statistic passes
+    ``("y", "x")`` so that every term keeps its column's label and seed.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     p, q = x.shape[1], y.shape[1]
-    cols = {f"x{i}": x[:, i] for i in range(p)}
-    cols.update({f"y{i}": y[:, i] for i in range(q)})
-    x_labels = tuple(f"x{i}" for i in range(p))
-    order = tuple(f"y{i}" for i in range(q)) if y_order is None \
-        else tuple(f"y{i}" for i in y_order)
+    xl, yl = labels
+    cols = {f"{xl}{i}": x[:, i] for i in range(p)}
+    cols.update({f"{yl}{i}": y[:, i] for i in range(q)})
+    x_labels = tuple(f"{xl}{i}" for i in range(p))
+    order = tuple(f"{yl}{i}" for i in (range(q) if y_order is None else y_order))
     num_sum = 0.0
     den_sum = 0.0
     for ell, resp in enumerate(order):
@@ -78,7 +83,14 @@ def t_reference(x, y, seed=0, direction="y_on_x", y_order=None):
     return (num_sum - den_sum) / (q - den_sum)
 
 
-def t_bar_reference(x, y, perms, seed=0, direction="y_on_x"):
+def t_bar_reference(x, y, perms, seed=0, direction="y_on_x", labels=("x", "y")):
     """Mean of the chained statistic over explicit response orderings."""
-    return float(np.mean([t_reference(x, y, seed, direction, y_order=perm)
+    return float(np.mean([t_reference(x, y, seed, direction, y_order=perm, labels=labels)
                           for perm in perms]))
+
+
+def t_star_reference(x, y, perms_x, perms_y, seed=0):
+    """Max of the ordering means in both directions, labels kept per column."""
+    forward = t_bar_reference(x, y, perms_y, seed, "y_on_x")
+    reverse = t_bar_reference(y, x, perms_x, seed, "x_on_y", labels=("y", "x"))
+    return max(forward, reverse)

@@ -13,11 +13,12 @@ from nvcoh.cli import (
     EXIT_USAGE,
     DataError,
     default_region_config,
+    build_parser,
     ingest_csv,
     load_region_config,
     main,
 )
-from nvcoh.simulation import gen_case
+from nvcoh.simulation import DEFAULT_MODULUS, gen_case
 
 
 def write_csv(path, labels, data):
@@ -347,3 +348,41 @@ class TestExitCodesAndDeterminism:
         assert files1 == files2
         for name in files1:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestParameterBoundary:
+    """Bad parameter values exit with their documented code and one line."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "--block-len", "5000"], EXIT_DATA),
+        (["analyze", "--block-len", "2"], EXIT_USAGE),
+        (["analyze", "--null-reps", "0"], EXIT_USAGE),
+        (["analyze", "--fs", "0"], EXIT_USAGE),
+        (["analyze", "--discard-secs", "-1"], EXIT_USAGE),
+        (["analyze", "--threads", "0"], EXIT_USAGE),
+        (["analyze", "--alpha", "1.5"], EXIT_USAGE),
+        (["analyze", "--q-perms", "0"], EXIT_USAGE),
+        (["baseline", "--bands", "x:10:60"], EXIT_USAGE),
+        (["baseline", "--bands", "x:10:10.5"], EXIT_USAGE),
+        (["baseline", "--max-lag", "-1"], EXIT_USAGE),
+        (["simulate", "--cases", "9"], EXIT_USAGE),
+        (["simulate", "--threads", "0"], EXIT_USAGE),
+        (["simulate", "--n-secs", "5"], EXIT_USAGE),
+        (["simulate", "--modulus", "1.2"], EXIT_USAGE),
+        (["null-dist", "--n-blocks", "1", "--q", "2"], EXIT_USAGE),
+        (["null-dist", "--n-blocks", "20", "--q", "1", "--seed", "-1"], EXIT_USAGE),
+    ])
+    def test_exit_code_and_one_line(self, argv, code, two_region_recording,
+                                    tmp_path, capsys):
+        rec, reg = two_region_recording
+        if argv[0] in ("analyze", "baseline"):
+            argv = argv + ["--input", str(rec), "--regions", str(reg)]
+        rc = main(argv + ["--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.startswith("nvc: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_simulate_modulus_default_matches_library(self):
+        args = build_parser().parse_args(["simulate", "--out-dir", "o"])
+        assert args.modulus == DEFAULT_MODULUS

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvcoh import rank_core
 from nvcoh.rank_core import (
     DegenerateRanksError,
     RankTriple,
@@ -91,6 +92,38 @@ class TestNearestNeighbors:
         got = nearest_neighbors(v, seed=trial).n_of
         want = brute_force_neighbors(v, seed=trial)
         assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["lattice", "scaled_duplicates", "ulp"]),
+           d=st.integers(2, 4), extra=st.integers(0, 40))
+    def test_kdtree_near_ties_match_brute_force(self, seed, kind, d, extra):
+        # above the threshold the k-d tree's distances decide, and only its
+        # relative near-tie re-check keeps the exact tie-break convention
+        n = rank_core._EXHAUSTIVE_MAX_N + extra
+        r = np.random.default_rng(seed)
+        if kind == "lattice":
+            v = r.integers(0, 5, size=(n, d)) * 0.1
+        elif kind == "scaled_duplicates":
+            base = r.standard_normal((n // 4, d))
+            v = base[r.integers(0, base.shape[0], size=n)]
+            v = v * 10.0 ** r.integers(-6, 7)
+        else:  # duplicates moved by one ulp in random coordinates
+            base = r.standard_normal((n // 3, d))
+            v = base[r.integers(0, base.shape[0], size=n)]
+            moved = r.random((n, d)) < 0.3
+            v[moved] = np.nextafter(v[moved], np.where(r.random(moved.sum()) < 0.5,
+                                                       -np.inf, np.inf))
+        got = nearest_neighbors(v, seed=seed).n_of
+        assert np.array_equal(got, brute_force_neighbors(v, seed=seed))
+
+    @pytest.mark.parametrize("offset", [-60, 0])
+    def test_column_major_input_matches_contract(self, offset):
+        # eight-column lattice rows: ties hinge on the pairwise row sums
+        n = rank_core._EXHAUSTIVE_MAX_N + offset
+        v = np.random.default_rng(n).integers(0, 4, size=(n, 8)) * 0.1
+        got = nearest_neighbors(np.asfortranarray(v), seed=3).n_of
+        assert np.array_equal(got, brute_force_neighbors(v, seed=3))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nvcoh import rank_core
 from nvcoh.rank_core import xi_n
 from nvcoh.vector_measure import (
     DegenerateDenominatorError,
@@ -14,7 +15,7 @@ from nvcoh.vector_measure import (
     t_n_star,
     term_seed,
 )
-from oracles import t_bar_reference, t_reference
+from oracles import t_bar_reference, t_reference, t_star_reference
 
 
 @pytest.fixture
@@ -163,3 +164,74 @@ def test_xi_sum_keeps_denominator_above_one(rng):
     y = np.column_stack([x[:, 0], x[:, 0] + 1e-9 * rng.standard_normal(60)])
     val = t_n(FeatureMatrixPair(x, y), seed=0)
     assert math.isfinite(val)
+
+
+def _tied_blocks(seed, n, p, q, kind):
+    """Blocks whose predictor sets hold exact neighbour ties in many terms."""
+    r = np.random.default_rng(seed)
+    x = r.standard_normal((n, p))
+    y = r.standard_normal((n, q))
+    if kind == "duplicates":
+        # groups of identical rows: every member has several neighbours at 0
+        for _ in range(n // 10):
+            rows = r.choice(n, size=4, replace=False)
+            x[rows] = x[rows[0]]
+            y[rows] = y[rows[0]]
+    elif kind == "rounded":
+        x = np.round(x, 1)
+        y = np.round(y, 1)
+    else:  # a coarse lattice: which distances tie depends on the summation order
+        x = r.integers(0, 4, size=(n, p)) * 0.1
+    return x, y
+
+
+class TestTermGraph:
+    """Shared ranks and neighbour searches against term-by-term oracles."""
+
+    @pytest.mark.parametrize("kind", ["duplicates", "rounded"])
+    def test_ties_in_shared_predictor_sets(self, kind):
+        x, y = _tied_blocks(11, 90, 2, 3, kind)
+        plan = make_plan(3)
+        got = t_n_bar(FeatureMatrixPair(x, y), plan=plan, seed=4)
+        want = t_bar_reference(x, y, plan.perms, seed=4)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("kind, p, q", [("duplicates", 5, 4), ("lattice", 8, 2)])
+    def test_wide_predictor_sets(self, kind, p, q):
+        # eight or more predictor columns are summed pairwise, as the contract
+        # metric is, not column by column
+        x, y = _tied_blocks(12, 120, p, q, kind)
+        plan = make_plan(q, n_perms=2, seed=1)
+        pair = FeatureMatrixPair(x, y)
+        assert t_n(pair, seed=6) == pytest.approx(t_reference(x, y, seed=6), abs=1e-12)
+        got = t_n_bar(pair, plan=plan, seed=6)
+        assert got == pytest.approx(t_bar_reference(x, y, plan.perms, seed=6), abs=1e-12)
+
+    def test_labels_sort_as_strings(self):
+        # with eleven predictor columns 'x10' sorts before 'x2', both in the
+        # summation order of the distances and in every term's seed
+        x, y = _tied_blocks(13, 60, 11, 2, "lattice")
+        got = t_n(FeatureMatrixPair(x, y), seed=8)
+        assert got == pytest.approx(t_reference(x, y, seed=8), abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    @pytest.mark.parametrize("kind", ["duplicates", "rounded"])
+    def test_both_sides_of_backend_threshold(self, offset, kind):
+        n = rank_core._EXHAUSTIVE_MAX_N + offset
+        x, y = _tied_blocks(14 + offset, n, 2, 2, kind)
+        plan = make_plan(2)
+        got = t_n_bar(FeatureMatrixPair(x, y), plan=plan, seed=9)
+        want = t_bar_reference(x, y, plan.perms, seed=9)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["duplicates", "lattice", "continuous"])
+    def test_t_n_star_is_max_of_both_directions(self, kind):
+        if kind == "continuous":
+            r = np.random.default_rng(15)
+            x, y = r.standard_normal((80, 3)), r.standard_normal((80, 2))
+        else:
+            x, y = _tied_blocks(15, 80, 3, 2, kind)
+        plan_x, plan_y = make_plan(3), make_plan(2)
+        got = t_n_star(FeatureMatrixPair(x, y), plan_x=plan_x, plan_y=plan_y, seed=2)
+        want = t_star_reference(x, y, plan_x.perms, plan_y.perms, seed=2)
+        assert got == pytest.approx(want, abs=1e-12)
