@@ -8,7 +8,7 @@ to the union of the analysed bands.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -24,7 +24,6 @@ from .spectral import (
 
 __all__ = [
     "BandFilteredSeries",
-    "ConnectivityMatrix",
     "bandpass",
     "pbc",
     "pbc_matrix",
@@ -42,26 +41,6 @@ class BandFilteredSeries:
 
     data: np.ndarray
     band: FrequencyBand
-    filter_spec: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ConnectivityMatrix:
-    """Symmetric region-by-region dependence values for one band."""
-
-    regions: tuple[str, ...]
-    values: np.ndarray
-    band: str
-    measure: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        r = len(self.regions)
-        if values.shape != (r, r):
-            raise ValueError("values must be square over the regions")
-        if not np.allclose(values, values.T, equal_nan=True):
-            raise ValueError("values must be symmetric")
-        object.__setattr__(self, "values", values)
 
 
 def bandpass(ts: TimeSeriesMatrix, band: FrequencyBand,
@@ -78,9 +57,7 @@ def bandpass(ts: TimeSeriesMatrix, band: FrequencyBand,
     sos = signal.butter(order, [band.lo_hz, band.hi_hz], btype="bandpass",
                         fs=ts.fs, output="sos")
     data = signal.sosfiltfilt(sos, ts.data, axis=0)
-    return BandFilteredSeries(data=data, band=band,
-                              filter_spec={"family": "butterworth", "order": order,
-                                           "zero_phase": True})
+    return BandFilteredSeries(data=data, band=band)
 
 
 def _corr_at_lag(x: np.ndarray, y: np.ndarray, lag: int) -> float:

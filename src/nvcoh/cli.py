@@ -8,14 +8,13 @@ error, 2 data error, 3 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,10 @@ from .spectral import (
     nvc_profile,
     retained_indices,
 )
-from .vector_measure import DegenerateDenominatorError, make_plan
+from .tables import DataError, read_numeric_csv
+from .tables import write_csv as _write_csv
+from .tables import write_json as _write_json
+from .vector_measure import DegenerateDenominatorError, _default_plan
 
 __all__ = ["DataError", "RegionConfig", "RunManifest", "ingest_csv", "main"]
 
@@ -63,10 +65,6 @@ DEFAULT_ROIS: dict[str, tuple[str, ...]] = {
     "P": ("P3", "Pz", "P4"),
     "O": ("O1", "O2"),
 }
-
-
-class DataError(ValueError):
-    """Malformed or inconsistent input data."""
 
 
 class UsageError(ValueError):
@@ -99,10 +97,9 @@ class RegionConfig:
                     raise DataError(f"pair ({a}, {b}) references unknown region {r}")
 
 
-def default_region_config(regions: dict | None = None) -> RegionConfig:
-    regions = {k: tuple(v) for k, v in (regions or DEFAULT_ROIS).items()}
-    pairs = tuple(itertools.combinations(sorted(regions), 2))
-    return RegionConfig(regions=regions, pairs=pairs)
+def default_region_config() -> RegionConfig:
+    return RegionConfig(regions=dict(DEFAULT_ROIS),
+                        pairs=tuple(itertools.combinations(sorted(DEFAULT_ROIS), 2)))
 
 
 def load_region_config(path) -> RegionConfig:
@@ -134,103 +131,40 @@ class RunManifest:
     stats: dict = field(default_factory=dict)
 
     def write(self, path) -> None:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "params": self.params,
-            "seed": self.seed,
-            "stats": self.stats,
-            "tool": self.tool,
-            "version": self.version,
-        }
-        _write_json(path, payload)
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=True)
-        fh.write("\n")
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
-    return str(value)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+        _write_json(path, asdict(self))
 
 
 def ingest_csv(path, fs: float) -> TimeSeriesMatrix:
     """Load a samples-by-channels CSV with a channel-label header row.
 
-    Rejects ragged rows, duplicate labels and non-finite cells, pointing at
-    the offending row and column.
+    The checks of `tables.read_numeric_csv` apply: ragged rows, duplicate
+    labels and non-finite cells are data errors naming the row and column.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        labels = [c.strip() for c in header]
-        if len(set(labels)) != len(labels):
-            dupes = sorted({c for c in labels if labels.count(c) > 1})
-            raise DataError(f"{path}: duplicate channel labels {dupes}")
-        n_cols = len(labels)
-        rows: list[list[float]] = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != n_cols:
-                raise DataError(
-                    f"{path}: ragged row {i} has {len(row)} cells, expected {n_cols}")
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                bad = next(j for j, c in enumerate(row) if not _is_float(c))
-                raise DataError(
-                    f"{path}: row {i}, column {labels[bad]}: "
-                    f"cannot parse {row[bad]!r}") from None
-    if not rows:
-        raise DataError(f"{path}: no sample rows")
-    data = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(data).all():
-        r, c = np.argwhere(~np.isfinite(data))[0]
-        raise DataError(f"{path}: non-finite value at row {r + 2}, column {labels[c]}")
-    return TimeSeriesMatrix(data=data, fs=fs, labels=tuple(labels))
+    labels, data = read_numeric_csv(path)
+    return TimeSeriesMatrix(data=data, fs=fs, labels=labels)
 
 
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
-def _prepare_recording(ts: TimeSeriesMatrix, discard_secs: float,
-                       standardize: bool) -> TimeSeriesMatrix:
-    start = int(round(discard_secs * ts.fs))
+def _load_recording(args) -> tuple[TimeSeriesMatrix, RegionConfig]:
+    """Ingest and region-check the recording, drop its start, standardize if asked."""
+    ts = ingest_csv(args.input, args.fs)
+    config = load_region_config(args.regions) if args.regions else default_region_config()
+    config.validate_against(ts.labels)
+    start = int(round(args.discard_secs * ts.fs))
     if start >= ts.n_samples:
-        raise DataError(
-            f"discarding {discard_secs}s removes the whole {ts.n_samples}-sample recording")
+        raise DataError(f"discarding {args.discard_secs}s removes the whole "
+                        f"{ts.n_samples}-sample recording")
     data = ts.data[start:]
-    if standardize:
-        sd = data.std(axis=0)
-        if (sd == 0).any():
-            flat = [ts.labels[i] for i in np.flatnonzero(sd == 0)]
-            raise DegenerateRanksError(f"constant channel(s) {flat} cannot be standardized")
-        data = (data - data.mean(axis=0)) / sd
-    return TimeSeriesMatrix(data=data, fs=ts.fs, labels=ts.labels)
+    if args.standardize:
+        _reject_constant(data, ts.labels, "cannot be standardized")
+        data = (data - data.mean(axis=0)) / data.std(axis=0)
+    return TimeSeriesMatrix(data=data, fs=ts.fs, labels=ts.labels), config
+
+
+def _reject_constant(data: np.ndarray, labels, why: str) -> None:
+    """Raise a degeneracy error naming every column whose samples are all equal."""
+    flat = [labels[i] for i in np.flatnonzero(np.ptp(data, axis=0) == 0)]
+    if flat:
+        raise DegenerateRanksError(f"constant channel(s) {flat} {why}")
 
 
 def _parse_bands(spec: str | None) -> tuple[FrequencyBand, ...]:
@@ -255,38 +189,14 @@ def _band_of(freq: float, bands) -> str:
     return ""
 
 
-class _EnsembleProvider:
-    """One null ensemble per distinct (n, q) per run; no data enters."""
-
-    def __init__(self, master_seed: int, n_reps: int):
-        self.master_seed = master_seed
-        self.n_reps = n_reps
-        self.cache: dict = {}
-        self.builds = 0
-
-    def get(self, n: int, q: int):
-        key = (n, q)
-        if key not in self.cache:
-            seed = derive_seed(self.master_seed, "null", n, q, self.n_reps)
-            self.cache[key] = null_ensemble(n, q, n_reps=self.n_reps, seed=seed)
-            self.builds += 1
-        return self.cache[key]
-
-
-def _shared_plans(master_seed: int, measure: str, p: int, q: int, n_perms):
-    """Plans keyed by dimension so every pair with the same q shares one plan."""
-    plan_y = make_plan(q, n_perms, seed=derive_seed(master_seed, "plan", q))
-    plan_x = make_plan(p, n_perms, seed=derive_seed(master_seed, "plan", p)) \
-        if measure == "tstar" else None
-    return plan_x, plan_y
-
-
 def _profile_worker(args):
     (pair_name, x_data, y_data, fs, block_len, measure, n_perms, master_seed) = args
     x = TimeSeriesMatrix(x_data, fs, tuple(f"x{i}" for i in range(x_data.shape[1])))
     y = TimeSeriesMatrix(y_data, fs, tuple(f"y{i}" for i in range(y_data.shape[1])))
-    plan_x, plan_y = _shared_plans(master_seed, measure, x.n_channels, y.n_channels,
-                                   n_perms)
+    # plans are keyed by dimension, so every pair with the same q shares one
+    plan_y = _default_plan(y.n_channels, n_perms, master_seed)
+    plan_x = _default_plan(x.n_channels, n_perms, master_seed) \
+        if measure == "tstar" else None
     profile = nvc_profile(x, y, block_len, measure=measure,
                           seed=derive_seed(master_seed, "pair", pair_name),
                           plan_x=plan_x, plan_y=plan_y)
@@ -294,10 +204,7 @@ def _profile_worker(args):
 
 
 def cmd_analyze(args) -> int:
-    ts = ingest_csv(args.input, args.fs)
-    config = load_region_config(args.regions) if args.regions else default_region_config()
-    config.validate_against(ts.labels)
-    ts = _prepare_recording(ts, args.discard_secs, args.standardize)
+    ts, config = _load_recording(args)
     bands = _parse_bands(args.bands)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,11 +225,17 @@ def cmd_analyze(args) -> int:
     else:
         results = [_profile_worker(t) for t in tasks]
 
-    provider = _EnsembleProvider(seed, args.null_reps)
+    # one null ensemble per distinct (n, q); no data enters it
+    ensembles: dict = {}
     per_pair = []
     all_p: list[float] = []
     for pair_name, estimates, meta in results:
-        ensemble = provider.get(n_blocks, meta["q"])
+        key = (n_blocks, meta["q"])
+        if key not in ensembles:
+            ensembles[key] = null_ensemble(
+                *key, n_reps=args.null_reps,
+                seed=derive_seed(seed, "null", *key, args.null_reps))
+        ensemble = ensembles[key]
         praw = p_values(estimates, ensemble)
         per_pair.append((pair_name, estimates, praw, meta, ensemble))
         all_p.extend(praw.tolist())
@@ -380,17 +293,17 @@ def cmd_analyze(args) -> int:
                 "standardize": args.standardize, "threads": args.threads,
                 "pairs": ["-".join(p) for p in config.pairs]},
         seed=seed,
-        stats={"n_blocks": n_blocks, "null_ensemble_builds": provider.builds},
+        stats={"n_blocks": n_blocks, "null_ensemble_builds": len(ensembles)},
     )
     manifest.write(out / "manifest.json")
     return EXIT_OK
 
 
 def cmd_baseline(args) -> int:
-    ts = ingest_csv(args.input, args.fs)
-    config = load_region_config(args.regions) if args.regions else default_region_config()
-    config.validate_against(ts.labels)
-    ts = _prepare_recording(ts, args.discard_secs, args.standardize)
+    ts, config = _load_recording(args)
+    channels = [ch for name in sorted(config.regions) for ch in config.regions[name]]
+    _reject_constant(ts.select(channels).data, channels,
+                     "have no band power to compare")
     bands = _parse_bands(args.bands)
     nyquist = ts.fs / 2
     for band in bands:
@@ -434,32 +347,14 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
-def _read_feature_table(path) -> tuple[list[str], np.ndarray]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}: ragged row {i}")
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise DataError(f"{path}: row {i}: {exc}") from None
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least two subjects")
-    return header, np.asarray(rows, dtype=np.float64)
-
-
 def cmd_compare(args) -> int:
-    feats_a, table_a = _read_feature_table(args.cohort_a)
-    feats_b, table_b = _read_feature_table(args.cohort_b)
+    cohorts = []
+    for path in (args.cohort_a, args.cohort_b):
+        feats, table = read_numeric_csv(path)
+        if table.shape[0] < 2:
+            raise DataError(f"{path}: need at least two subjects")
+        cohorts.append((feats, table))
+    (feats_a, table_a), (feats_b, table_b) = cohorts
     if feats_a != feats_b:
         raise DataError("cohort feature columns are misaligned: "
                         f"{feats_a} vs {feats_b}")

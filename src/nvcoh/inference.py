@@ -10,11 +10,12 @@ permutation nulls.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .rank_core import _xi_null_batch
+from .vector_measure import DENOM_EPS
 
 __all__ = [
     "NullEnsemble",
@@ -28,7 +29,6 @@ __all__ = [
 
 DEFAULT_NULL_REPS = 2000
 DEFAULT_GROUP_PERMS = 5000
-_DENOM_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class NullEnsemble:
     reps: np.ndarray
     seed: int
     structure: str = "t"
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_reps(self) -> int:
@@ -64,7 +63,7 @@ def _null_batch(n, q, want, rng, eps):
 
 
 def null_ensemble(n: int, q: int, n_reps: int = DEFAULT_NULL_REPS, seed: int = 0,
-                  eps: float = _DENOM_EPS) -> NullEnsemble:
+                  eps: float = DENOM_EPS) -> NullEnsemble:
     """Null replicates of the chained statistic for (n, q).
 
     Each replicate assembles q numerator and q-1 denominator xi values from
@@ -92,15 +91,15 @@ def null_ensemble(n: int, q: int, n_reps: int = DEFAULT_NULL_REPS, seed: int = 0
 
 
 def p_value(statistic: float, ensemble: NullEnsemble) -> float:
-    """Add-one smoothed upper-tail p-value against the ensemble."""
-    if np.isnan(statistic):
-        return float("nan")
-    count = int((ensemble.reps >= statistic).sum())
-    return (1 + count) / (ensemble.n_reps + 1)
+    """`p_values` of a single statistic."""
+    return float(p_values([statistic], ensemble)[0])
 
 
 def p_values(statistics, ensemble: NullEnsemble) -> np.ndarray:
-    """Vectorised `p_value` over an array of statistics (NaN passes through)."""
+    """Add-one smoothed upper-tail p-values against the ensemble.
+
+    Each statistic counts the replicates at or above it; NaN passes through.
+    """
     stats = np.asarray(statistics, dtype=np.float64)
     sorted_reps = np.sort(ensemble.reps)
     counts = ensemble.n_reps - np.searchsorted(sorted_reps, stats, side="left")

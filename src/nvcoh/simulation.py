@@ -9,8 +9,6 @@ and aggregates Monte Carlo summaries per case, sample size and frequency.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import signal as sp_signal
 
+from . import tables
 from .inference import null_ensemble, p_values
 from .rank_core import derive_seed
 from .spectral import TimeSeriesMatrix, nvc_profile, retained_indices
@@ -212,17 +211,12 @@ class SimulationReport:
                    "reject_rate")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            for row in self.rows:
-                writer.writerow([_fmt(row[c]) for c in self.CSV_COLUMNS])
+        tables.write_csv(path, self.CSV_COLUMNS,
+                         ([row[c] for c in self.CSV_COLUMNS] for row in self.rows))
 
     def write_json(self, path) -> None:
-        payload = {"meta": self.meta, "rows": self.rows, "set_rows": self.set_rows}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=True)
-            fh.write("\n")
+        tables.write_json(path, {"meta": self.meta, "rows": self.rows,
+                                 "set_rows": self.set_rows})
 
     def freq_means(self, case_id: int, n_sec: float) -> tuple[np.ndarray, np.ndarray]:
         rows = [r for r in self.rows if r["case"] == case_id and r["n_sec"] == n_sec]
@@ -236,12 +230,6 @@ class SimulationReport:
                     and row["set"] == set_name):
                 return row[key]
         raise KeyError(f"no set row for case={case_id}, n_sec={n_sec}, set={set_name}")
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
-    return value
 
 
 def _replicate(args) -> tuple[int, np.ndarray | None, str | None]:
@@ -278,7 +266,8 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
     freqs_hz = retained_indices(block_len) * fs / block_len
     rows: list[dict] = []
     set_rows: list[dict] = []
-    ensembles: dict[tuple[int, int], np.ndarray] = {}
+    # one null ensemble per distinct (n, q); no data enters it
+    ensembles: dict = {}
     failures: list[str] = []
 
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -310,9 +299,8 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
 
                 key = (n_blocks, case.q)
                 if key not in ensembles:
-                    ens = null_ensemble(n_blocks, case.q, n_reps=null_reps,
-                                        seed=derive_seed(seed, "null", *key))
-                    ensembles[key] = ens
+                    ensembles[key] = null_ensemble(*key, n_reps=null_reps,
+                                                   seed=derive_seed(seed, "null", *key))
                 pvals = p_values(estimates[ok].ravel(), ensembles[key])
                 pvals = pvals.reshape(ok.sum(), freqs_hz.size)
                 reject = np.where(np.isnan(pvals), np.nan, pvals < alpha)

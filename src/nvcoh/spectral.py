@@ -15,10 +15,11 @@ import numpy as np
 
 from .rank_core import DegenerateRanksError, derive_seed
 from .vector_measure import (
+    DENOM_EPS,
     DegenerateDenominatorError,
     FeatureMatrixPair,
     PermutationPlan,
-    make_plan,
+    _default_plan,
     t_n,
     t_n_bar,
     t_n_star,
@@ -122,21 +123,11 @@ class BlockPeriodogramTensor:
     """Periodogram values indexed (block, channel, retained Fourier index)."""
 
     values: np.ndarray
-    block_len: int
     freqs_hz: np.ndarray
-    fs: float
 
     @property
     def n_blocks(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def n_freqs(self) -> int:
-        return self.values.shape[2]
 
 
 def retained_indices(block_len: int) -> np.ndarray:
@@ -164,18 +155,15 @@ def block_periodograms(ts: TimeSeriesMatrix, block_len: int) -> BlockPeriodogram
     vals = (spectrum.real ** 2 + spectrum.imag ** 2) / block_len
     vals = vals[:, ks, :].transpose(0, 2, 1)
     freqs_hz = ks * ts.fs / block_len
-    return BlockPeriodogramTensor(values=np.ascontiguousarray(vals),
-                                  block_len=block_len, freqs_hz=freqs_hz, fs=ts.fs)
+    return BlockPeriodogramTensor(values=np.ascontiguousarray(vals), freqs_hz=freqs_hz)
 
 
 @dataclass
 class SpectralDependenceProfile:
-    """Per-frequency dependence estimates with optional test results."""
+    """Per-frequency dependence estimates and the parameters behind them."""
 
     freqs_hz: np.ndarray
     estimates: np.ndarray
-    p_values: np.ndarray | None = None
-    band_summary: dict | None = None
     meta: dict = field(default_factory=dict)
 
 
@@ -186,22 +174,21 @@ def _measure_value(measure: str, pair: FeatureMatrixPair, seed: int,
         return t_n(pair, seed=seed, eps=eps)
     if measure == "tbar":
         return t_n_bar(pair, plan=plan_y, seed=seed, eps=eps)
-    if measure == "tstar":
-        return t_n_star(pair, plan_x=plan_x, plan_y=plan_y, seed=seed, eps=eps)
-    raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    return t_n_star(pair, plan_x=plan_x, plan_y=plan_y, seed=seed, eps=eps)
 
 
 def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
                 measure: str = "tbar", seed: int = 0,
                 plan_x: PermutationPlan | None = None,
                 plan_y: PermutationPlan | None = None,
-                n_perms: int | None = None,
-                eps: float = 1e-9) -> SpectralDependenceProfile:
+                eps: float = DENOM_EPS) -> SpectralDependenceProfile:
     """NVC estimates between two channel groups at every retained frequency.
 
     Both recordings must share the sampling rate and length.  A per-frequency
     degeneracy (for example a constant channel whose periodogram ordinates are
-    all tied) is recorded as NaN rather than failing the profile.
+    all tied) is recorded as NaN rather than failing the profile.  Missing
+    plans default to the exhaustive or sampled plan of each dimension under
+    ``seed`` (the plan of ``x`` only for ``tstar``).
     """
     if x.fs != y.fs:
         raise ValueError("recordings must share the sampling rate")
@@ -216,9 +203,9 @@ def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
         warnings.warn(f"only {n} blocks available; estimates will be noisy",
                       stacklevel=2)
     if plan_y is None:
-        plan_y = make_plan(y.n_channels, n_perms, seed=derive_seed(seed, "plan", "y"))
+        plan_y = _default_plan(y.n_channels, None, seed)
     if plan_x is None and measure == "tstar":
-        plan_x = make_plan(x.n_channels, n_perms, seed=derive_seed(seed, "plan", "x"))
+        plan_x = _default_plan(x.n_channels, None, seed)
 
     ks = retained_indices(block_len)
     estimates = np.full(ks.size, np.nan)
@@ -246,24 +233,14 @@ def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
                                      meta=meta)
 
 
-_BAND_AGGS = {
-    "mean": np.nanmean,
-    "median": np.nanmedian,
-    "max": np.nanmax,
-}
-
-
 def band_summary(profile: SpectralDependenceProfile,
-                 bands=CANONICAL_BANDS, agg: str = "mean") -> dict[str, float]:
-    """Aggregate the per-frequency estimates inside each band.
+                 bands=CANONICAL_BANDS) -> dict[str, float]:
+    """Mean of the per-frequency estimates inside each band.
 
-    The contract default is the arithmetic mean over the band's retained
-    frequencies; missing per-frequency values are excluded.  A band with no
-    retained frequency at all raises ``EmptyBandError``.
+    The mean runs over the band's retained frequencies; missing per-frequency
+    values are excluded.  A band with no retained frequency at all raises
+    ``EmptyBandError``.
     """
-    if agg not in _BAND_AGGS:
-        raise ValueError(f"unknown aggregation {agg!r}; expected one of {tuple(_BAND_AGGS)}")
-    fn = _BAND_AGGS[agg]
     out: dict[str, float] = {}
     for band in bands:
         mask = band.mask(profile.freqs_hz)
@@ -272,5 +249,5 @@ def band_summary(profile: SpectralDependenceProfile,
         vals = profile.estimates[mask]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            out[band.name] = float(fn(vals))
+            out[band.name] = float(np.nanmean(vals))
     return out

@@ -99,8 +99,6 @@ class PermutationPlan:
 
     q: int
     perms: tuple[tuple[int, ...], ...]
-    mode: str
-    seed: int = 0
 
     def __post_init__(self):
         perms = tuple(tuple(int(i) for i in p) for p in self.perms)
@@ -112,14 +110,16 @@ class PermutationPlan:
                 raise ValueError(f"{p} is not a permutation of 0..{self.q - 1}")
         if len(set(perms)) != len(perms):
             raise ValueError("permutations must be pairwise distinct")
-        expected = "exhaustive" if len(perms) == math.factorial(self.q) else "sampled"
-        if self.mode != expected:
-            raise ValueError(f"mode must be {expected!r} for Q={len(perms)}, q={self.q}")
         object.__setattr__(self, "perms", perms)
 
     @property
     def n_perms(self) -> int:
         return len(self.perms)
+
+    @property
+    def mode(self) -> str:
+        """``"exhaustive"`` when the plan holds all q! orderings, else ``"sampled"``."""
+        return "exhaustive" if self.n_perms == math.factorial(self.q) else "sampled"
 
 
 def make_plan(q: int, n_perms: int | None = None, seed: int = 0) -> PermutationPlan:
@@ -136,8 +136,7 @@ def make_plan(q: int, n_perms: int | None = None, seed: int = 0) -> PermutationP
     if n_perms < 1:
         raise ValueError("n_perms must be >= 1")
     if n_perms >= total:
-        return PermutationPlan(q=q, perms=tuple(iter_permutations(range(q))),
-                               mode="exhaustive", seed=seed)
+        return PermutationPlan(q=q, perms=tuple(iter_permutations(range(q))))
     rng = np.random.default_rng(seed)
     seen: set[tuple[int, ...]] = set()
     perms: list[tuple[int, ...]] = []
@@ -146,7 +145,16 @@ def make_plan(q: int, n_perms: int | None = None, seed: int = 0) -> PermutationP
         if cand not in seen:
             seen.add(cand)
             perms.append(cand)
-    return PermutationPlan(q=q, perms=tuple(perms), mode="sampled", seed=seed)
+    return PermutationPlan(q=q, perms=tuple(perms))
+
+
+def _default_plan(dim: int, n_perms: int | None, seed: int) -> PermutationPlan:
+    """The plan used when a caller passes none: seeded by ``(seed, "plan", dim)``.
+
+    Keying by dimension rather than by side means every caller that shares a
+    master seed shares one plan per dimension.
+    """
+    return make_plan(dim, n_perms, seed=derive_seed(seed, "plan", dim))
 
 
 def term_seed(seed: int, direction: str, response: str, predictors) -> int:
@@ -260,7 +268,7 @@ def t_n_bar(pair: FeatureMatrixPair, plan: PermutationPlan | None = None,
             seed: int = 0, eps: float = DENOM_EPS) -> float:
     """Mean of ``t_n`` over the plan's response-column orderings."""
     if plan is None:
-        plan = make_plan(pair.q, seed=derive_seed(seed, "plan", "y"))
+        plan = _default_plan(pair.q, None, seed)
     if plan.q != pair.q:
         raise ValueError(f"plan is for q={plan.q}, pair has q={pair.q}")
     graph = _TermGraph(pair, seed)
@@ -272,9 +280,9 @@ def t_n_star(pair: FeatureMatrixPair, plan_x: PermutationPlan | None = None,
              eps: float = DENOM_EPS) -> float:
     """Symmetric variant: max of the permutation-invariant means both ways."""
     if plan_y is None:
-        plan_y = make_plan(pair.q, seed=derive_seed(seed, "plan", "y"))
+        plan_y = _default_plan(pair.q, None, seed)
     if plan_x is None:
-        plan_x = make_plan(pair.p, seed=derive_seed(seed, "plan", "x"))
+        plan_x = _default_plan(pair.p, None, seed)
     if plan_y.q != pair.q or plan_x.q != pair.p:
         raise ValueError("plan dimensions do not match the pair")
     graph = _TermGraph(pair, seed)

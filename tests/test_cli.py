@@ -231,6 +231,21 @@ class TestCompare:
         assert rc == EXIT_DATA
         assert "misaligned" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        ("f0,f1\n1,2\n3,nan\n", "non-finite value at row 3, column f1"),
+        ("f0,f0\n1,2\n3,4\n", "duplicate"),
+        ("f0,f1\n1,2\n", "at least two subjects"),
+    ])
+    def test_bad_cohort_is_a_data_error(self, content, message, tmp_path, capsys):
+        a, b = self.make_cohorts(tmp_path, n_features=2)
+        a.write_text(content)
+        rc = main(["compare", "--cohort-a", str(a), "--cohort-b", str(b),
+                   "--out-dir", str(tmp_path / "out"), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith("nvc: data error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
 
 class TestSimulateAndNullDist:
     def test_quick_simulate(self, tmp_path):
@@ -321,6 +336,20 @@ class TestExitCodesAndDeterminism:
                    "--fs", "100", "--out-dir", str(tmp_path / "out"), "--seed", "0",
                    "--discard-secs", "0"])
         assert rc == EXIT_DEGENERATE
+
+    def test_constant_channel_without_standardizing(self, tmp_path, capsys):
+        rec = tmp_path / "rec.csv"
+        write_csv(rec, ["a", "b"], np.column_stack(
+            [np.full(3000, 2.5), np.random.default_rng(0).standard_normal(3000)]))
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"RA": ["a"], "RB": ["b"]})
+        rc = main(["baseline", "--input", str(rec), "--regions", str(reg),
+                   "--fs", "100", "--out-dir", str(tmp_path / "out"), "--seed", "0",
+                   "--discard-secs", "0", "--no-standardize"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DEGENERATE
+        assert err.startswith("nvc: numerical degeneracy: ") and err.count("\n") == 1
+        assert "['a']" in err
 
     def test_env_var_seed(self, tmp_path, monkeypatch):
         out1 = tmp_path / "o1"

@@ -57,14 +57,17 @@ class TestPValue:
         assert np.isnan(p_value(float("nan"), ens))
 
     def test_vector_matches_scalar(self):
+        """Both equal the direct count on ties with replicates, on +-inf and NaN."""
         ens = null_ensemble(50, 2, n_reps=777, seed=1)
         stats = np.concatenate([ens.reps[:25], [np.nan, -np.inf, np.inf, 0.0]])
         vec = p_values(stats, ens)
         for s, v in zip(stats, vec):
+            scalar = p_value(float(s), ens)
             if np.isnan(s):
-                assert np.isnan(v)
+                assert np.isnan(v) and np.isnan(scalar)
             else:
-                assert v == p_value(float(s), ens)
+                direct = (1 + int((ens.reps >= s).sum())) / (ens.n_reps + 1)
+                assert v == scalar == direct
 
     def test_in_unit_interval(self):
         ens = null_ensemble(50, 2, n_reps=321, seed=1)

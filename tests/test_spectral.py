@@ -176,15 +176,6 @@ class TestBandSummary:
         with pytest.raises(EmptyBandError):
             band_summary(prof, bands=(FrequencyBand("sub", 0.0, 0.5),))
 
-    def test_alternative_aggregations(self):
-        est = np.zeros(49)
-        est[9] = 1.0
-        prof = self.profile_with(est)
-        assert band_summary(prof, agg="max")["alpha"] == 1.0
-        assert band_summary(prof, agg="median")["alpha"] == 0.0
-        with pytest.raises(ValueError):
-            band_summary(prof, agg="sum")
-
     def test_canonical_bands_partition(self):
         freqs = retained_indices(100) * 1.0
         in_range = (freqs > 0.5) & (freqs <= 45)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nvcoh import rank_core
-from nvcoh.rank_core import xi_n
+from nvcoh.rank_core import derive_seed, xi_n
 from nvcoh.vector_measure import (
     DegenerateDenominatorError,
     FeatureMatrixPair,
@@ -39,19 +39,17 @@ class TestPermutationPlan:
         plan = make_plan(3, n_perms=6)
         assert plan.mode == "exhaustive"
 
-    def test_mode_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            PermutationPlan(q=2, perms=((0, 1), (1, 0)), mode="sampled")
-        with pytest.raises(ValueError):
-            PermutationPlan(q=2, perms=((0, 1),), mode="exhaustive")
+    def test_mode_follows_plan_size(self):
+        assert PermutationPlan(q=2, perms=((1, 0), (0, 1))).mode == "exhaustive"
+        assert PermutationPlan(q=2, perms=((1, 0),)).mode == "sampled"
 
     def test_distinct_enforced(self):
         with pytest.raises(ValueError):
-            PermutationPlan(q=2, perms=((0, 1), (0, 1)), mode="exhaustive")
+            PermutationPlan(q=2, perms=((0, 1), (0, 1)))
 
     def test_invalid_permutation(self):
         with pytest.raises(ValueError):
-            PermutationPlan(q=2, perms=((0, 0),), mode="sampled")
+            PermutationPlan(q=2, perms=((0, 0),))
 
 
 class TestTn:
@@ -106,11 +104,16 @@ class TestTnBar:
         y = rng.standard_normal((90, 3))
         p = FeatureMatrixPair(x, y)
         exhaustive = make_plan(3)
-        shuffled = PermutationPlan(q=3, perms=tuple(exhaustive.perms[::-1]),
-                                   mode="exhaustive")
+        shuffled = PermutationPlan(q=3, perms=tuple(exhaustive.perms[::-1]))
         a = t_n_bar(p, plan=exhaustive, seed=2)
         b = t_n_bar(p, plan=shuffled, seed=2)
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_default_plan_keyed_by_dimension(self, rng):
+        pair = FeatureMatrixPair(rng.standard_normal((40, 1)), rng.standard_normal((40, 5)))
+        plan = make_plan(5, seed=derive_seed(3, "plan", 5))
+        assert plan.mode == "sampled"
+        assert t_n_bar(pair, seed=3) == t_n_bar(pair, plan=plan, seed=3)
 
     def test_column_relabeling_invariance(self, rng):
         x = rng.standard_normal((100, 2))
