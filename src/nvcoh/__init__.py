@@ -38,7 +38,6 @@ from .spectral import (
     nvc_profile,
 )
 from .vector_measure import (
-    DegenerateDenominatorError,
     FeatureMatrixPair,
     PermutationPlan,
     make_plan,
@@ -50,7 +49,6 @@ from .vector_measure import (
 __all__ = [
     "__version__",
     "DegenerateRanksError",
-    "DegenerateDenominatorError",
     "RankTriple",
     "NeighborIndex",
     "compute_ranks",

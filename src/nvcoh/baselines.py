@@ -8,7 +8,6 @@ to the union of the analysed bands.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -23,8 +22,8 @@ from .spectral import (
 )
 
 __all__ = [
-    "BandFilteredSeries",
     "bandpass",
+    "min_samples",
     "pbc",
     "pbc_matrix",
     "region_pbc",
@@ -35,17 +34,9 @@ DEFAULT_FILTER_ORDER = 4
 DEFAULT_MAX_LAG = 50
 
 
-@dataclass(frozen=True)
-class BandFilteredSeries:
-    """Zero-phase band-pass filtered copy of a recording."""
-
-    data: np.ndarray
-    band: FrequencyBand
-
-
 def bandpass(ts: TimeSeriesMatrix, band: FrequencyBand,
-             order: int = DEFAULT_FILTER_ORDER) -> BandFilteredSeries:
-    """Forward-backward Butterworth band-pass of every channel.
+             order: int = DEFAULT_FILTER_ORDER) -> np.ndarray:
+    """Zero-phase (forward-backward) Butterworth band-pass of every channel.
 
     The two-pass application doubles the effective order and cancels the
     phase response.  The band must sit strictly inside (0, fs/2).
@@ -56,8 +47,23 @@ def bandpass(ts: TimeSeriesMatrix, band: FrequencyBand,
             f"band ({band.lo_hz}, {band.hi_hz}] must lie strictly inside (0, {nyq})")
     sos = signal.butter(order, [band.lo_hz, band.hi_hz], btype="bandpass",
                         fs=ts.fs, output="sos")
-    data = signal.sosfiltfilt(sos, ts.data, axis=0)
-    return BandFilteredSeries(data=data, band=band)
+    return signal.sosfiltfilt(sos, ts.data, axis=0)
+
+
+def _lag_window(max_lag: int) -> int:
+    """Samples `pbc` needs: every lag in range, 30 of them overlapping."""
+    return max(2 * max_lag + 2, max_lag + 30)
+
+
+def min_samples(max_lag: int = DEFAULT_MAX_LAG,
+                order: int = DEFAULT_FILTER_ORDER) -> int:
+    """Shortest recording that `region_pbc` accepts.
+
+    Besides the lag window of `pbc`, the forward-backward filter pads each
+    edge with ``3 * (2 * order + 1)`` samples (one second-order section per
+    order of the band-pass) and needs more samples than that.
+    """
+    return max(_lag_window(max_lag), 3 * (2 * order + 1) + 1)
 
 
 def _corr_at_lag(x: np.ndarray, y: np.ndarray, lag: int) -> float:
@@ -86,10 +92,9 @@ def pbc(x, y, max_lag: int = DEFAULT_MAX_LAG) -> float:
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size != y.size:
         raise ValueError("channels must have equal length")
-    if x.size < 2 * max_lag + 2:
-        raise ValueError(f"need at least {2 * max_lag + 2} samples for max_lag={max_lag}")
-    if x.size - max_lag < 30:
-        raise ValueError("fewer than 30 overlapping samples at the largest lag")
+    if x.size < _lag_window(max_lag):
+        raise ValueError(
+            f"need at least {_lag_window(max_lag)} samples for max_lag={max_lag}")
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         raise ValueError("zero-variance input")
     best = 0.0
@@ -103,8 +108,8 @@ def pbc_matrix(x: TimeSeriesMatrix, y: TimeSeriesMatrix, band: FrequencyBand,
                max_lag: int = DEFAULT_MAX_LAG,
                order: int = DEFAULT_FILTER_ORDER) -> np.ndarray:
     """PBC of every cross-region channel pair on band-filtered data."""
-    fx = bandpass(x, band, order=order).data
-    fy = bandpass(y, band, order=order).data
+    fx = bandpass(x, band, order=order)
+    fy = bandpass(y, band, order=order)
     out = np.empty((x.n_channels, y.n_channels))
     for i, j in product(range(x.n_channels), range(y.n_channels)):
         out[i, j] = pbc(fx[:, i], fy[:, j], max_lag=max_lag)

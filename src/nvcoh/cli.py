@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import DEFAULT_MAX_LAG, rbp, region_pbc
+from .baselines import DEFAULT_MAX_LAG, min_samples, rbp, region_pbc
 from .inference import (
     DEFAULT_GROUP_PERMS,
     DEFAULT_NULL_REPS,
@@ -30,7 +30,7 @@ from .inference import (
     p_values,
 )
 from .rank_core import DegenerateRanksError, derive_seed
-from .simulation import CASES, DEFAULT_MODULUS, run_study
+from .simulation import CASES, DEFAULT_MODULUS, check_study, run_study
 from .spectral import (
     CANONICAL_BANDS,
     BlockTooLongError,
@@ -43,7 +43,7 @@ from .spectral import (
 from .tables import DataError, read_numeric_csv
 from .tables import write_csv as _write_csv
 from .tables import write_json as _write_json
-from .vector_measure import DegenerateDenominatorError, _default_plan
+from .vector_measure import _default_plan
 
 __all__ = ["DataError", "RegionConfig", "RunManifest", "ingest_csv", "main"]
 
@@ -144,15 +144,21 @@ def ingest_csv(path, fs: float) -> TimeSeriesMatrix:
     return TimeSeriesMatrix(data=data, fs=fs, labels=labels)
 
 
-def _load_recording(args) -> tuple[TimeSeriesMatrix, RegionConfig]:
-    """Ingest and region-check the recording, drop its start, standardize if asked."""
+def _load_recording(args, need: int, why: str) -> tuple[TimeSeriesMatrix, RegionConfig]:
+    """Ingest and region-check the recording, drop its start, standardize if asked.
+
+    Fewer than ``need`` samples left after the discard is a data error that
+    names both counts and ``why`` the command needs them.
+    """
     ts = ingest_csv(args.input, args.fs)
     config = load_region_config(args.regions) if args.regions else default_region_config()
     config.validate_against(ts.labels)
-    start = int(round(args.discard_secs * ts.fs))
-    if start >= ts.n_samples:
-        raise DataError(f"discarding {args.discard_secs}s removes the whole "
-                        f"{ts.n_samples}-sample recording")
+    start = args.discard_secs * ts.fs  # may overflow to inf
+    start = int(round(start)) if start < ts.n_samples else ts.n_samples
+    if ts.n_samples - start < need:
+        raise DataError(f"{ts.n_samples - start} of {ts.n_samples} samples left after "
+                        f"discarding {args.discard_secs}s; {args.command} needs at "
+                        f"least {need} ({why})")
     data = ts.data[start:]
     if args.standardize:
         _reject_constant(data, ts.labels, "cannot be standardized")
@@ -204,7 +210,8 @@ def _profile_worker(args):
 
 
 def cmd_analyze(args) -> int:
-    ts, config = _load_recording(args)
+    ts, config = _load_recording(args, 2 * args.block_len,
+                                 f"two blocks of {args.block_len}")
     bands = _parse_bands(args.bands)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -300,7 +307,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    ts, config = _load_recording(args)
+    ts, config = _load_recording(
+        args, max(min_samples(args.max_lag), 2 * args.block_len),
+        f"max lag {args.max_lag}, two blocks of {args.block_len}")
     channels = [ch for name in sorted(config.regions) for ch in config.regions[name]]
     _reject_constant(ts.select(channels).data, channels,
                      "have no band power to compare")
@@ -396,6 +405,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    try:
+        check_study(args.cases, args.n_secs, args.block_len, args.fs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = run_study(cases=args.cases, n_secs=args.n_secs, replicates=args.reps,
@@ -577,7 +590,7 @@ def main(argv=None) -> int:
     except (DataError, BlockTooLongError) as exc:
         print(f"nvc: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateRanksError, DegenerateDenominatorError) as exc:
+    except DegenerateRanksError as exc:
         print(f"nvc: numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 

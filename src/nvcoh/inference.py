@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rank_core import _xi_null_batch
-from .vector_measure import DENOM_EPS
 
 __all__ = [
     "NullEnsemble",
@@ -50,44 +49,29 @@ class NullEnsemble:
         return hashlib.sha256(np.ascontiguousarray(self.reps).tobytes()).hexdigest()
 
 
-def _null_batch(n, q, want, rng, eps):
-    """(values, ok_mask) for `want` null replicates of the chained statistic."""
+def _null_batch(n, q, want, rng):
+    """`want` null replicates of the chained statistic."""
     draws = _xi_null_batch(n, want * (2 * q - 1), rng).reshape(want, 2 * q - 1)
     num_sums = draws[:, :q].sum(axis=1)
     den_sums = draws[:, q:].sum(axis=1)
-    dens = q - den_sums
-    ok = dens > eps
-    # same collapsing form as the estimator: exactly one xi draw when q == 1
-    vals = (num_sums - den_sums) / np.where(ok, dens, 1.0)
-    return vals, ok
+    # same form as the estimator: every draw is at most 1 (see
+    # `vector_measure._t_for_order`), so the denominator is at least 1, and
+    # q == 1 gives exactly one xi draw
+    return (num_sums - den_sums) / (q - den_sums)
 
 
-def null_ensemble(n: int, q: int, n_reps: int = DEFAULT_NULL_REPS, seed: int = 0,
-                  eps: float = DENOM_EPS) -> NullEnsemble:
+def null_ensemble(n: int, q: int, n_reps: int = DEFAULT_NULL_REPS,
+                  seed: int = 0) -> NullEnsemble:
     """Null replicates of the chained statistic for (n, q).
 
     Each replicate assembles q numerator and q-1 denominator xi values from
-    independent rank-permutation draws.  Replicates whose denominator falls
-    at or below ``eps`` are redrawn (capped at ten times the request); with
-    valid rank draws the denominator never drops below 1, so the cap is a
-    safety net only.
+    independent rank-permutation draws, all from one generator seeded with
+    ``seed``.
     """
     if n < 2 or q < 1 or n_reps < 1:
         raise ValueError("need n >= 2, q >= 1, n_reps >= 1")
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_reps, dtype=np.float64)
-    filled = 0
-    drawn = 0
-    while filled < n_reps:
-        want = n_reps - filled
-        vals, ok = _null_batch(n, q, want, rng, eps)
-        good = vals[ok]
-        out[filled:filled + good.size] = good
-        filled += good.size
-        drawn += want
-        if drawn > 10 * n_reps and filled < n_reps:
-            raise RuntimeError("too many degenerate null replicates; giving up")
-    return NullEnsemble(n=n, q=q, reps=out, seed=seed, structure="t")
+    reps = _null_batch(n, q, n_reps, np.random.default_rng(seed))
+    return NullEnsemble(n=n, q=q, reps=reps, seed=seed, structure="t")
 
 
 def p_value(statistic: float, ensemble: NullEnsemble) -> float:

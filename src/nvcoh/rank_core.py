@@ -12,22 +12,22 @@ Conventions shared by every estimator in this package:
 The tie-break convention is part of the public contract: any independent
 re-implementation that follows it reproduces this module's output bit for bit.
 
-Neighbour search runs in two steps.  `neighbor_candidates` needs no seed: it
-returns each row's nearest other row and, for rows with several exact
-minimisers, their candidates; `NeighborCandidates.resolve` then draws for one
-seed.  A caller with several xi terms on the same predictors (the chained
-statistic in `vector_measure`) searches once and resolves ties per term.
-One selector picks the backend: sort-and-scan for a single column, a scan of
-the squared-distance matrix for ``n < _EXHAUSTIVE_MAX_N`` rows, and above
-that a k-d tree whose relative near-ties (``_NEAR_TIE_RTOL``) are re-checked
-with the exact metric.  The threshold, 160, is where the two backends cost
-the same for both the chained statistic and a single search (README,
-"Performance").  The matrix is the contract's row sum over C-contiguous rows.
-numpy sums at most seven terms strictly left to right, so for up to seven
-columns the same matrix results from adding per-column squared differences
-in column order, which lets callers share partial sums; numpy sums eight or
-more terms pairwise, so wider matrices are computed by the contract
-expression itself.
+Neighbour search runs in two steps.  `NeighborSearch`, built on one matrix,
+needs no seed: ``candidates(cols)`` returns, for a subset of its columns,
+each row's nearest other row and, for rows with several exact minimisers,
+their candidates; `NeighborCandidates.resolve` then draws for one seed.  The
+chained statistic in `vector_measure` searches once per predictor set and
+resolves ties per term.  The search picks the backend: sort-and-scan for a
+single column, a scan of the squared-distance matrix for
+``n < _EXHAUSTIVE_MAX_N`` rows, and above that a k-d tree whose relative
+near-ties (``_NEAR_TIE_RTOL``) are re-checked with the exact metric.  The
+threshold, 160, is where the two backends cost the same for both the chained
+statistic and a single search (README, "Performance").  The matrix is the
+contract's row sum over C-contiguous rows.  numpy sums at most seven terms
+strictly left to right, so up to seven columns the same matrix results from
+adding per-column squared differences in column order, and column sets that
+share a prefix share its partial sum; numpy sums eight or more terms
+pairwise, so wider matrices are computed by the contract expression itself.
 """
 from __future__ import annotations
 
@@ -42,9 +42,9 @@ __all__ = [
     "RankTriple",
     "NeighborCandidates",
     "NeighborIndex",
+    "NeighborSearch",
     "derive_seed",
     "compute_ranks",
-    "neighbor_candidates",
     "nearest_neighbors",
     "xi_from_ranks",
     "xi_n",
@@ -114,10 +114,9 @@ class RankTriple:
 
 @dataclass(frozen=True)
 class NeighborIndex:
-    """0-based index of each row's nearest other row, plus the tie seed."""
+    """0-based index of each row's nearest other row."""
 
     n_of: np.ndarray
-    tie_seed: int
 
     def __post_init__(self):
         n_of = np.asarray(self.n_of, dtype=np.int64)
@@ -268,29 +267,6 @@ def _exact_candidates(v: np.ndarray, j: int, idx: np.ndarray) -> np.ndarray:
     return idx[sq == sq.min()]
 
 
-def _column_sq(z: np.ndarray) -> np.ndarray:
-    """Squared differences of one column between all rows, infinite diagonal.
-
-    Summing these keeps the diagonal infinite and leaves every other entry
-    as in the contract metric.
-    """
-    sq = (z[:, None] - z[None, :]) ** 2
-    np.fill_diagonal(sq, np.inf)
-    return sq
-
-
-def _squared_distances(v: np.ndarray) -> np.ndarray:
-    """Contract metric between all rows, with an infinite diagonal."""
-    if v.shape[1] > _MAX_ACCUMULATED_WIDTH:
-        sq = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
-        np.fill_diagonal(sq, np.inf)
-        return sq
-    sq = _column_sq(v[:, 0])
-    for c in range(1, v.shape[1]):
-        sq += _column_sq(v[:, c])
-    return sq
-
-
 def _nn_exhaustive(sq: np.ndarray) -> NeighborCandidates:
     """Row-wise minimisers of a squared-distance matrix with infinite diagonal."""
     n = sq.shape[0]
@@ -326,29 +302,55 @@ def _nn_kdtree(v: np.ndarray) -> NeighborCandidates:
     return NeighborCandidates(n_of, tied)
 
 
-def neighbor_candidates(v: np.ndarray, sq=None) -> NeighborCandidates:
-    """Seed-free neighbour search of a finite (n, d) matrix; the one backend choice.
+class NeighborSearch:
+    """Seed-free neighbour searches over column subsets of one finite matrix.
 
-    Scalar predictors use a sort-and-scan pass, ``n < _EXHAUSTIVE_MAX_N`` rows
-    a scan of the squared-distance matrix, larger ``n`` a k-d tree whose
-    near-ties are re-checked with the exact metric.  ``sq``, when given, is a
-    callable returning that matrix as per-column squared differences summed
-    in the column order of ``v`` (so a caller can share partial sums); it is
-    called only on the exhaustive path and for at most
-    ``_MAX_ACCUMULATED_WIDTH`` columns.
+    ``candidates(cols)`` searches the rows of ``z[:, cols]``, summing squared
+    differences in the order of ``cols``, once per distinct ``cols``.
     """
-    # numpy sums a row of eight or more entries pairwise only when the row is
-    # contiguous in memory, as in the contract; column-major input would be
-    # summed left to right
-    v = np.ascontiguousarray(v)
-    n, d = v.shape
-    if d == 1:
-        return _nn_1d(v[:, 0].copy())
-    if n >= _EXHAUSTIVE_MAX_N:
-        return _nn_kdtree(v)
-    if sq is None or d > _MAX_ACCUMULATED_WIDTH:
-        return _nn_exhaustive(_squared_distances(v))
-    return _nn_exhaustive(sq())
+
+    def __init__(self, z: np.ndarray):
+        self.z = np.asarray(z, dtype=np.float64)
+        self._found: dict = {}
+        self._sums: dict = {}
+
+    def candidates(self, cols) -> NeighborCandidates:
+        cols = tuple(cols)
+        if cols not in self._found:
+            self._found[cols] = self._search(cols)
+        return self._found[cols]
+
+    def _search(self, cols: tuple[int, ...]) -> NeighborCandidates:
+        """The one backend choice; runs once per distinct column set."""
+        if len(cols) == 1:
+            return _nn_1d(self.z[:, cols[0]].copy())
+        # numpy sums a row of eight or more entries pairwise only when the row
+        # is contiguous in memory, as in the contract; a column selection or
+        # column-major input would be summed left to right
+        v = np.ascontiguousarray(self.z[:, cols])
+        if v.shape[0] >= _EXHAUSTIVE_MAX_N:
+            return _nn_kdtree(v)
+        if len(cols) <= _MAX_ACCUMULATED_WIDTH:
+            return _nn_exhaustive(self._sq(cols))
+        sq = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
+        np.fill_diagonal(sq, np.inf)
+        return _nn_exhaustive(sq)
+
+    def _sq(self, cols: tuple[int, ...]) -> np.ndarray:
+        """Squared distances over ``cols``, summed column by column in order.
+
+        Every partial sum is kept, so column sets sharing a prefix share its work.
+        """
+        sq = self._sums.get(cols)
+        if sq is None:
+            if len(cols) == 1:
+                z = self.z[:, cols[0]]
+                sq = (z[:, None] - z[None, :]) ** 2
+                np.fill_diagonal(sq, np.inf)  # and so in every sum
+            else:
+                sq = self._sq(cols[:-1]) + self._sq(cols[-1:])
+            self._sums[cols] = sq
+        return sq
 
 
 def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
@@ -363,7 +365,7 @@ def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
         draw uniformly among them from a generator seeded with ``(seed, j)``;
         results are deterministic for a fixed seed.
 
-    See `neighbor_candidates` for the backends.  Exact duplicates of a row
+    See `NeighborSearch` for the backends.  Exact duplicates of a row
     are valid neighbors at distance zero.
     """
     v = np.asarray(v, dtype=np.float64)
@@ -374,7 +376,8 @@ def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
     if v.shape[0] < 2:
         raise ValueError("need at least two rows")
     _check_values(v, "v")
-    return NeighborIndex(n_of=neighbor_candidates(v).resolve(seed), tie_seed=seed)
+    search = NeighborSearch(v)
+    return NeighborIndex(n_of=search.candidates(range(v.shape[1])).resolve(seed))
 
 
 def _xi_denominator(l: np.ndarray) -> np.int64:
@@ -427,19 +430,14 @@ def xi_null(n: int, seed: int = 0) -> float:
 
     Ranks are replaced by a uniform random permutation, their >=-counts by the
     complementary values, and the neighbor ranks by an i.i.d. with-replacement
-    sample.  The draw depends only on ``n`` and the seed, never on data.
+    sample.  The draw depends only on ``n`` and the seed, never on data; it is
+    the first draw of `_xi_null_batch` under ``default_rng(seed)``.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rng = np.random.default_rng(seed)
-    r0 = rng.permutation(n).astype(np.int64) + 1
-    l0 = n - r0 + 1
-    r0_nn = rng.integers(1, n + 1, size=n, dtype=np.int64)
-    return _xi_ratio(r0, l0, r0_nn)
+    return float(_xi_null_batch(n, 1, np.random.default_rng(seed))[0])
 
 
 def _xi_null_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` i.i.d. null draws of xi, vectorised; same law as `xi_null`."""
+    """``count`` i.i.d. null draws of xi, vectorised; see `xi_null`."""
     if n < 2:
         raise ValueError("need n >= 2")
     out = np.empty(count, dtype=np.float64)

@@ -30,6 +30,7 @@ __all__ = [
     "gen_latent",
     "gen_case",
     "table1_frequency_sets",
+    "check_study",
     "SimulationReport",
     "run_study",
 ]
@@ -232,6 +233,32 @@ class SimulationReport:
         raise KeyError(f"no set row for case={case_id}, n_sec={n_sec}, set={set_name}")
 
 
+def check_study(cases, n_secs, block_len: int, fs: float) -> None:
+    """Reject settings under which every replicate would fail, before any runs.
+
+    Each case's latent peaks must lie below fs/2, and each recording must hold
+    at least 10 seconds and two complete blocks.
+    """
+    for case_id in cases:
+        if case_id not in CASES:
+            raise ValueError(f"case_id must be one of {sorted(CASES)}")
+        case = CASES[case_id]
+        top = max(BAND_PEAK_HZ[band] for channel in case.x_wiring + case.y_wiring
+                  for band, _ in channel)
+        if top >= fs / 2:
+            raise ValueError(f"case {case_id} has a latent peak at {top} Hz, "
+                             f"not below fs/2 = {fs / 2} Hz")
+    for n_sec in n_secs:
+        if n_sec < 10:
+            raise ValueError("need at least 10 seconds per replicate")
+        if not n_sec * fs < math.inf:
+            raise ValueError(f"{n_sec} s at {fs} Hz is too many samples")
+        n_blocks = int(round(n_sec * fs)) // block_len
+        if n_blocks < 2:
+            raise ValueError(f"{n_sec} s at {fs} Hz holds {n_blocks} complete "
+                             f"block(s) of {block_len} samples; need at least 2")
+
+
 def _replicate(args) -> tuple[int, np.ndarray | None, str | None]:
     (idx, case_id, n_sec, fs, block_len, measure, modulus, rep_seed) = args
     try:
@@ -260,9 +287,7 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
     """
     if replicates < 10:
         raise ValueError("need at least 10 replicates")
-    for n_sec in n_secs:
-        if n_sec < 10:
-            raise ValueError("need at least 10 seconds per replicate")
+    check_study(cases, n_secs, block_len, fs)
     freqs_hz = retained_indices(block_len) * fs / block_len
     rows: list[dict] = []
     set_rows: list[dict] = []

@@ -15,8 +15,6 @@ import numpy as np
 
 from .rank_core import DegenerateRanksError, derive_seed
 from .vector_measure import (
-    DENOM_EPS,
-    DegenerateDenominatorError,
     FeatureMatrixPair,
     PermutationPlan,
     _default_plan,
@@ -168,20 +166,18 @@ class SpectralDependenceProfile:
 
 
 def _measure_value(measure: str, pair: FeatureMatrixPair, seed: int,
-                   plan_x: PermutationPlan, plan_y: PermutationPlan,
-                   eps: float) -> float:
+                   plan_x: PermutationPlan, plan_y: PermutationPlan) -> float:
     if measure == "t":
-        return t_n(pair, seed=seed, eps=eps)
+        return t_n(pair, seed=seed)
     if measure == "tbar":
-        return t_n_bar(pair, plan=plan_y, seed=seed, eps=eps)
-    return t_n_star(pair, plan_x=plan_x, plan_y=plan_y, seed=seed, eps=eps)
+        return t_n_bar(pair, plan=plan_y, seed=seed)
+    return t_n_star(pair, plan_x=plan_x, plan_y=plan_y, seed=seed)
 
 
 def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
                 measure: str = "tbar", seed: int = 0,
                 plan_x: PermutationPlan | None = None,
-                plan_y: PermutationPlan | None = None,
-                eps: float = DENOM_EPS) -> SpectralDependenceProfile:
+                plan_y: PermutationPlan | None = None) -> SpectralDependenceProfile:
     """NVC estimates between two channel groups at every retained frequency.
 
     Both recordings must share the sampling rate and length.  A per-frequency
@@ -214,8 +210,8 @@ def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
         pair = FeatureMatrixPair(px.values[:, :, i], py.values[:, :, i])
         try:
             estimates[i] = _measure_value(measure, pair, derive_seed(seed, "freq", int(k)),
-                                          plan_x, plan_y, eps)
-        except (DegenerateRanksError, DegenerateDenominatorError):
+                                          plan_x, plan_y)
+        except DegenerateRanksError:
             n_degenerate += 1
     meta = {
         "block_len": block_len,

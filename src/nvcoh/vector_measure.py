@@ -14,11 +14,9 @@ reproducible term by term.
 
 One `_TermGraph` per feature pair evaluates every term of `t_n`, `t_n_bar`
 and `t_n_star`.  Ranks and the xi denominator are computed once per response
-column.  The seed-free neighbour search runs once per distinct predictor set
-and is shared by all terms and by both directions of `t_n_star`; below
-`rank_core._EXHAUSTIVE_MAX_N` rows its squared distances are summed from
-per-column pieces shared between sets with a common prefix (up to seven
-columns, see `rank_core`).  Exact ties are then resolved per term with that
+column.  One `rank_core.NeighborSearch` over the label-ordered columns serves
+every predictor set, searching each distinct set once for all terms and both
+directions of `t_n_star`.  Exact ties are then resolved per term with that
 term's seed, derived only when the search found a tie, so every term equals
 ``xi_n(response, predictors, seed=term_seed(...))`` bit for bit.
 """
@@ -34,7 +32,6 @@ from . import rank_core
 from .rank_core import derive_seed, xi_n  # noqa: F401  (bench/layers.py wraps xi_n here)
 
 __all__ = [
-    "DegenerateDenominatorError",
     "FeatureMatrixPair",
     "PermutationPlan",
     "make_plan",
@@ -44,12 +41,7 @@ __all__ = [
     "t_n_star",
 ]
 
-DENOM_EPS = 1e-9
 DEFAULT_MAX_PERMS = 24
-
-
-class DegenerateDenominatorError(ArithmeticError):
-    """The response-only denominator collapsed below the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -88,9 +80,6 @@ class FeatureMatrixPair:
     @property
     def q(self) -> int:
         return self.y.shape[1]
-
-    def swapped(self) -> "FeatureMatrixPair":
-        return FeatureMatrixPair(x=self.y, y=self.x)
 
 
 @dataclass(frozen=True)
@@ -177,14 +166,12 @@ class _TermGraph:
         labels = [f"x{i}" for i in range(pair.p)] + [f"y{i}" for i in range(pair.q)]
         order = sorted(range(len(labels)), key=labels.__getitem__)
         self.labels = [labels[c] for c in order]
-        self.z = np.hstack([pair.x, pair.y])[:, order]
+        self.search = rank_core.NeighborSearch(np.hstack([pair.x, pair.y])[:, order])
         pos = {c: i for i, c in enumerate(order)}
         self.x_cols = tuple(pos[i] for i in range(pair.p))
         self.y_cols = tuple(pos[pair.p + i] for i in range(pair.q))
         self.seed = seed
         self._ranks: dict = {}
-        self._neighbors: dict = {}
-        self._sums: dict = {}
         self._terms: dict = {}
 
     def xi(self, direction: str, response: int, predictors: tuple[int, ...]) -> float:
@@ -193,7 +180,7 @@ class _TermGraph:
         val = self._terms.get(key)
         if val is None:
             r, l, den = self._ranks_of(response)
-            nb = self._neighbors_of(preds)
+            nb = self.search.candidates(preds)
             n_of = nb.resolve(term_seed(self.seed, direction, self.labels[response],
                                         [self.labels[c] for c in preds])) \
                 if nb.tied else nb.n_of
@@ -204,33 +191,12 @@ class _TermGraph:
         """``(r, l)`` and the xi denominator of one response column."""
         rld = self._ranks.get(col)
         if rld is None:
-            r, l = rank_core.compute_ranks(self.z[:, col])
+            r, l = rank_core.compute_ranks(self.search.z[:, col])
             rld = self._ranks[col] = (r, l, rank_core._xi_denominator(l))
         return rld
 
-    def _neighbors_of(self, preds: tuple[int, ...]):
-        nb = self._neighbors.get(preds)
-        if nb is None:
-            nb = self._neighbors[preds] = rank_core.neighbor_candidates(
-                self.z[:, preds], sq=lambda: self._sq(preds))
-        return nb
 
-    def _sq(self, preds: tuple[int, ...]) -> np.ndarray:
-        """Squared distances over ``preds``, summed column by column in order.
-
-        Every sum is kept, so predictor sets that share a prefix share its work.
-        """
-        sq = self._sums.get(preds)
-        if sq is None:
-            if len(preds) == 1:
-                sq = rank_core._column_sq(self.z[:, preds[0]])
-            else:
-                sq = self._sq(preds[:-1]) + self._sq(preds[-1:])
-            self._sums[preds] = sq
-        return sq
-
-
-def _t_for_order(graph: _TermGraph, direction: str, x_cols, y_order, eps) -> float:
+def _t_for_order(graph: _TermGraph, direction: str, x_cols, y_order) -> float:
     q = len(y_order)
     num_sum = 0.0
     den_sum = 0.0
@@ -238,46 +204,44 @@ def _t_for_order(graph: _TermGraph, direction: str, x_cols, y_order, eps) -> flo
         num_sum += graph.xi(direction, resp, x_cols + y_order[:ell])
         if ell >= 1:
             den_sum += graph.xi(direction, resp, y_order[:ell])
-    denominator = q - den_sum
-    if denominator <= eps:
-        raise DegenerateDenominatorError(
-            f"response-only denominator {denominator:.3e} <= eps {eps:.0e}")
-    # algebraically 1 - (q - num_sum)/denominator; this form collapses to the
-    # single xi value exactly when q == 1
-    return (num_sum - den_sum) / denominator
+    # Each xi term is at most 1: its numerator sum(n*min(r, r_nn) - l^2) is at
+    # most sum(n*r - l^2), which equals the denominator sum(l*(n-l)) because
+    # sum(r) == sum(l) (both count the ordered pairs with u_i <= u_j).  The
+    # q-1 terms of den_sum thus leave q - den_sum >= 1, in floats as well.
+    # The form below is algebraically 1 - (q - num_sum)/(q - den_sum) and
+    # collapses to the single xi value exactly when q == 1.
+    return (num_sum - den_sum) / (q - den_sum)
 
 
-def t_n(pair: FeatureMatrixPair, seed: int = 0, eps: float = DENOM_EPS) -> float:
+def t_n(pair: FeatureMatrixPair, seed: int = 0) -> float:
     """Chained dependence of the response block on the predictor block.
 
-    For q = 1 this is exactly ``xi_n(y, x)``.  The denominator guard is
-    defensive: with valid rank data each xi term is bounded by 1, so the
-    response-only denominator stays at or above 1.
+    For q = 1 this is exactly ``xi_n(y, x)``.  Each xi term is at most 1, so
+    the response-only denominator ``q - sum`` never drops below 1.
     """
     graph = _TermGraph(pair, seed)
-    return _t_for_order(graph, "y_on_x", graph.x_cols, graph.y_cols, eps)
+    return _t_for_order(graph, "y_on_x", graph.x_cols, graph.y_cols)
 
 
-def _t_bar(graph: _TermGraph, direction: str, x_cols, y_cols, plan, eps) -> float:
-    vals = [_t_for_order(graph, direction, x_cols, tuple(y_cols[i] for i in perm), eps)
+def _t_bar(graph: _TermGraph, direction: str, x_cols, y_cols, plan) -> float:
+    vals = [_t_for_order(graph, direction, x_cols, tuple(y_cols[i] for i in perm))
             for perm in plan.perms]
     return float(np.mean(vals))
 
 
 def t_n_bar(pair: FeatureMatrixPair, plan: PermutationPlan | None = None,
-            seed: int = 0, eps: float = DENOM_EPS) -> float:
+            seed: int = 0) -> float:
     """Mean of ``t_n`` over the plan's response-column orderings."""
     if plan is None:
         plan = _default_plan(pair.q, None, seed)
     if plan.q != pair.q:
         raise ValueError(f"plan is for q={plan.q}, pair has q={pair.q}")
     graph = _TermGraph(pair, seed)
-    return _t_bar(graph, "y_on_x", graph.x_cols, graph.y_cols, plan, eps)
+    return _t_bar(graph, "y_on_x", graph.x_cols, graph.y_cols, plan)
 
 
 def t_n_star(pair: FeatureMatrixPair, plan_x: PermutationPlan | None = None,
-             plan_y: PermutationPlan | None = None, seed: int = 0,
-             eps: float = DENOM_EPS) -> float:
+             plan_y: PermutationPlan | None = None, seed: int = 0) -> float:
     """Symmetric variant: max of the permutation-invariant means both ways."""
     if plan_y is None:
         plan_y = _default_plan(pair.q, None, seed)
@@ -286,6 +250,6 @@ def t_n_star(pair: FeatureMatrixPair, plan_x: PermutationPlan | None = None,
     if plan_y.q != pair.q or plan_x.q != pair.p:
         raise ValueError("plan dimensions do not match the pair")
     graph = _TermGraph(pair, seed)
-    forward = _t_bar(graph, "y_on_x", graph.x_cols, graph.y_cols, plan_y, eps)
-    reverse = _t_bar(graph, "x_on_y", graph.y_cols, graph.x_cols, plan_x, eps)
+    forward = _t_bar(graph, "y_on_x", graph.x_cols, graph.y_cols, plan_y)
+    reverse = _t_bar(graph, "x_on_y", graph.y_cols, graph.x_cols, plan_x)
     return max(forward, reverse)

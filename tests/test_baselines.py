@@ -26,13 +26,13 @@ class TestBandpass:
     def test_in_band_tone_passes(self):
         ts = make_ts(tone(10.0))
         out = bandpass(ts, BANDS["alpha"])
-        mid = out.data[1000:-1000, 0]
+        mid = out[1000:-1000, 0]
         assert abs(np.abs(mid).max() - 1.0) < 0.05
 
     def test_out_of_band_tone_rejected(self):
         ts = make_ts(tone(10.0))
         out = bandpass(ts, BANDS["gamma"])
-        assert out.data[:, 0].std() <= 0.01 * ts.data[:, 0].std()
+        assert out[:, 0].std() <= 0.01 * ts.data[:, 0].std()
 
     def test_white_noise_energy_fraction_wide_bands(self, rng):
         # edge attenuation of the order-4 zero-phase design costs ~10% of the
@@ -40,7 +40,7 @@ class TestBandpass:
         ts = make_ts(rng.standard_normal(200_000))
         for name in ("beta", "gamma"):
             band = BANDS[name]
-            frac = bandpass(ts, band).data.var() / ts.data.var()
+            frac = bandpass(ts, band).var() / ts.data.var()
             ideal = (band.hi_hz - band.lo_hz) / (ts.fs / 2)
             assert abs(frac - ideal) <= 0.10 * ideal
 
@@ -48,7 +48,7 @@ class TestBandpass:
         ts = make_ts(rng.standard_normal(200_000))
         for name in ("delta", "theta", "alpha"):
             band = BANDS[name]
-            frac = bandpass(ts, band).data.var() / ts.data.var()
+            frac = bandpass(ts, band).var() / ts.data.var()
             ideal = (band.hi_hz - band.lo_hz) / (ts.fs / 2)
             assert 0.8 * ideal <= frac <= 1.05 * ideal
 
@@ -64,7 +64,7 @@ class TestPbc:
         assert pbc(x, x.copy()) == 1.0
 
     def test_lagged_copy(self, rng):
-        x = bandpass(make_ts(rng.standard_normal(12_000)), BANDS["alpha"]).data[:, 0]
+        x = bandpass(make_ts(rng.standard_normal(12_000)), BANDS["alpha"])[:, 0]
         y = np.roll(x, 17)
         assert pbc(x[100:-100], y[100:-100], max_lag=50) == pytest.approx(1.0, abs=1e-6)
 
@@ -73,7 +73,7 @@ class TestPbc:
         for seed in range(500):
             r = np.random.default_rng(seed)
             ts = make_ts(r.standard_normal((10_000, 2)))
-            f = bandpass(ts, BANDS["alpha"]).data
+            f = bandpass(ts, BANDS["alpha"])
             hits += pbc(f[:, 0], f[:, 1], max_lag=50) <= 0.05
         assert hits >= 475
 
@@ -106,8 +106,8 @@ class TestRegionPbc:
         x = make_ts(data[:, :1], labels=("a",))
         y = make_ts(data[:, 1:], labels=("b",))
         band = BANDS["alpha"]
-        fx = bandpass(x, band).data[:, 0]
-        fy = bandpass(y, band).data[:, 0]
+        fx = bandpass(x, band)[:, 0]
+        fy = bandpass(y, band)[:, 0]
         assert region_pbc(x, y, band) == pbc(fx, fy)
 
     def test_copied_region_is_one(self, rng):

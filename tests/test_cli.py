@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nvcoh.cli import (
     DEFAULT_ROIS,
@@ -400,11 +405,27 @@ class TestParameterBoundary:
         (["simulate", "--modulus", "1.2"], EXIT_USAGE),
         (["null-dist", "--n-blocks", "1", "--q", "2"], EXIT_USAGE),
         (["null-dist", "--n-blocks", "20", "--q", "1", "--seed", "-1"], EXIT_USAGE),
+        (["analyze", "--discard-secs", "1e308"], EXIT_DATA),  # overflows to inf
+        # fewer than two blocks, or a latent peak at or above fs/2
+        (["simulate", "--cases", "1", "--n-secs", "10", "--block-len", "600",
+          "--reps", "10"], EXIT_USAGE),
+        (["simulate", "--cases", "4", "--n-secs", "10", "--fs", "10"], EXIT_USAGE),
+        (["simulate", "--cases", "1", "--fs", "20"], EXIT_USAGE),
+        # "--input N": a recording of N samples, too short after the discard
+        (["baseline", "--input", "560"], EXIT_DATA),
+        (["baseline", "--input", "700", "--max-lag", "500"], EXIT_DATA),
+        (["baseline", "--input", "520", "--max-lag", "0"], EXIT_DATA),
     ])
     def test_exit_code_and_one_line(self, argv, code, two_region_recording,
                                     tmp_path, capsys):
         rec, reg = two_region_recording
-        if argv[0] in ("analyze", "baseline"):
+        if "--input" in argv:
+            i = argv.index("--input") + 1
+            rec = tmp_path / "short.csv"
+            write_csv(rec, ["A1", "A2", "B1", "B2"],
+                      np.random.default_rng(0).standard_normal((int(argv[i]), 4)))
+            argv = argv[:i] + [str(rec)] + argv[i + 1:] + ["--regions", str(reg)]
+        elif argv[0] in ("analyze", "baseline"):
             argv = argv + ["--input", str(rec), "--regions", str(reg)]
         rc = main(argv + ["--out-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -415,3 +436,110 @@ class TestParameterBoundary:
     def test_simulate_modulus_default_matches_library(self):
         args = build_parser().parse_args(["simulate", "--out-dir", "o"])
         assert args.modulus == DEFAULT_MODULUS
+
+    @pytest.mark.parametrize("n_samples, extra, left, need", [
+        (560, [], 60, 200),
+        (700, ["--max-lag", "500"], 200, 1002),
+    ])
+    def test_short_baseline_names_both_counts(self, n_samples, extra, left, need,
+                                              tmp_path, capsys):
+        rec = tmp_path / "short.csv"
+        write_csv(rec, ["a", "b"], np.random.default_rng(1).standard_normal((n_samples, 2)))
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"RA": ["a"], "RB": ["b"]})
+        rc = main(["baseline", "--input", str(rec), "--regions", str(reg), *extra,
+                   "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith(f"nvc: data error: {left} of {n_samples} samples left")
+        assert f"needs at least {need} " in err
+
+
+# --------------------------------------------------------------- argv property
+
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    """Tiny recordings (plain, short, rounded, one constant channel) and regions."""
+    base = tmp_path_factory.mktemp("argv")
+    r = np.random.default_rng(7)
+    labels = ["a1", "a2", "b1", "b2"]
+    files = {}
+    for name, data in {
+        "plain": r.standard_normal((1200, 4)),
+        "short": r.standard_normal((560, 4)),
+        "rounded": np.round(r.standard_normal((1200, 4))),
+        "constant": np.column_stack([r.standard_normal((1200, 3)), np.ones(1200)]),
+        "one_row": r.standard_normal((1, 4)),
+    }.items():
+        files[name] = base / f"{name}.csv"
+        write_csv(files[name], labels, data)
+    files["regions"] = base / "regions.json"
+    write_regions(files["regions"], {"RA": ["a1", "a2"], "RB": ["b1", "b2"]})
+    return files
+
+
+def _flags(**choices):
+    """Each flag is left out or given one of its values, small and edge alike."""
+    return st.fixed_dictionaries({
+        flag: st.one_of(st.none(), st.sampled_from(values))
+        for flag, values in choices.items()})
+
+
+_RECORDING = dict(fs=["0.5", "10", "100", "0"], discard_secs=["0", "1", "5", "1e308"],
+                  block_len=["2", "4", "10", "100", "400"], seed=["0", "3", "-1"],
+                  bands=["a:1:2", "lo:4:8,hi:8:12", "x:10:60", "bad"],
+                  standardize=["", "no"])
+_ARGV = st.one_of(
+    st.tuples(st.just("analyze"),
+              st.sampled_from(["plain", "short", "rounded", "constant", "one_row"]),
+              _flags(**_RECORDING, measure=["t", "tbar", "tstar"],
+                     q_perms=["0", "1", "2"], null_reps=["0", "1", "50"],
+                     alpha=["0", "0.05", "1"])),
+    st.tuples(st.just("baseline"),
+              st.sampled_from(["plain", "short", "rounded", "constant", "one_row"]),
+              _flags(**_RECORDING, max_lag=["-1", "0", "3", "50", "700"])),
+    st.tuples(st.just("simulate"), st.none(),
+              _flags(cases=["1", "4", "1 3", "9"], n_secs=["5", "10", "12 10"],
+                     reps=["5", "10"], block_len=["4", "100", "600"],
+                     fs=["10", "20", "100"], measure=["t", "tstar"],
+                     null_reps=["10"], seed=["0", "5"])),
+    st.tuples(st.just("null-dist"), st.none(),
+              _flags(n_blocks=["1", "2", "3", "40"], q=["0", "1", "3"],
+                     null_reps=["0", "1", "10"], seed=["0", "-1"])),
+)
+
+
+_FILLED = {"simulate": {"cases": "3", "n_secs": "10", "reps": "10"},
+           "null-dist": {"n_blocks": "10", "q": "1"}}
+
+
+def _argv(command, recording, flags, files, out_dir):
+    argv = [command, "--out-dir", out_dir]
+    if recording is not None:
+        argv += ["--input", str(files[recording]), "--regions", str(files["regions"])]
+    # null-dist requires these; simulate's defaults (all cases, up to 200 s,
+    # 200 replicates) would take minutes
+    given = {k: v for k, v in flags.items() if v is not None}
+    flags = {**_FILLED.get(command, {}), **given}
+    for name, value in flags.items():
+        flag = "--" + name.replace("_", "-")
+        if name == "standardize":
+            argv.append(f"--{value}{'-' if value else ''}standardize")
+        else:
+            argv += [flag, *value.split()]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=_ARGV)
+def test_any_argv_exits_with_a_documented_code(drawn, fixture_files):
+    # every input either works or fails with its documented exit code and a
+    # message; nothing escapes as an exception or a traceback
+    command, recording, flags = drawn
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out_dir, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(_argv(command, recording, flags, fixture_files, out_dir))
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_DEGENERATE)
+    assert "Traceback" not in err.getvalue()

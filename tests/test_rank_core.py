@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from nvcoh import rank_core
 from nvcoh.rank_core import (
     DegenerateRanksError,
+    NeighborSearch,
     RankTriple,
     compute_ranks,
     nearest_neighbors,
@@ -132,6 +135,25 @@ class TestNearestNeighbors:
             nearest_neighbors([[1.0], [np.nan]])
 
 
+class TestNeighborSearch:
+    @pytest.mark.parametrize("n", [60, rank_core._EXHAUSTIVE_MAX_N + 5])
+    def test_column_sets_match_brute_force(self, n):
+        # lattice rows, so ties hinge on the summation order of each set; the
+        # contract sums C-contiguous rows, which column selection need not give
+        z = np.random.default_rng(n).integers(0, 4, size=(n, 11)) * 0.1
+        search = NeighborSearch(z)
+        for cols in [(0,), (0, 1), (0, 1, 2), (2, 5, 7), (1, 0), tuple(range(7)),
+                     tuple(range(8)), (10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0)]:
+            got = search.candidates(cols).resolve(4)
+            want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=4)
+            assert np.array_equal(got, want)
+
+    def test_each_column_set_searched_once(self):
+        search = NeighborSearch(np.random.default_rng(0).standard_normal((30, 4)))
+        assert search.candidates((0, 2)) is search.candidates([0, 2])
+        assert search.candidates((0, 2)) is not search.candidates((2, 0))
+
+
 class TestXiFromRanks:
     def test_hand_examples(self):
         assert xi_from_ranks(RankTriple(r=[1, 2, 3], l=[3, 2, 1], r_nn=[1, 2, 3])) == 1.0
@@ -223,6 +245,18 @@ class TestXiN:
 class TestXiNull:
     def test_deterministic(self):
         assert xi_null(50, seed=9) == xi_null(50, seed=9)
+
+    def test_draw_from_its_seed(self):
+        # one row of the batch sampler: permutation ranks from uniform keys,
+        # then with-replacement neighbour ranks, as an exact ratio
+        for n, seed in ((2, 0), (50, 9), (300, 123)):
+            rng = np.random.default_rng(seed)
+            r = np.argsort(np.argsort(rng.random((1, n)), axis=1), axis=1)[0] + 1
+            r_nn = rng.integers(1, n + 1, size=(1, n), dtype=np.int64)[0]
+            l = n - r + 1
+            want = Fraction(int((n * np.minimum(r, r_nn) - l * l).sum()),
+                            int((l * (n - l)).sum()))
+            assert xi_null(n, seed=seed) == pytest.approx(float(want), abs=1e-15)
 
     def test_takes_no_data(self):
         # signature admits only the sample size and seed

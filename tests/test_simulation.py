@@ -197,3 +197,17 @@ class TestRunStudy:
             run_study(cases=(1,), n_secs=(50,), replicates=5)
         with pytest.raises(ValueError):
             run_study(cases=(1,), n_secs=(5,), replicates=10)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(cases=(1,), n_secs=(10,), block_len=600), "1 complete block"),
+        (dict(cases=(4,), n_secs=(10,), fs=10.0), "37.5 Hz"),
+        (dict(cases=(3, 1), n_secs=(50,), fs=20.0), "10.0 Hz"),
+    ])
+    def test_impossible_settings_rejected_before_any_replicate(self, kwargs, message,
+                                                               monkeypatch):
+        def never(args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "_replicate", never)
+        with pytest.raises(ValueError, match=message):
+            run_study(replicates=10, null_reps=10, **kwargs)

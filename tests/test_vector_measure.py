@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvcoh import rank_core
-from nvcoh.rank_core import derive_seed, xi_n
+from nvcoh.rank_core import _xi_null_batch, derive_seed, xi_n
 from nvcoh.vector_measure import (
-    DegenerateDenominatorError,
     FeatureMatrixPair,
     PermutationPlan,
+    _TermGraph,
     make_plan,
     t_n,
     t_n_bar,
@@ -81,12 +83,6 @@ class TestTn:
         y2[:, 1] = np.exp(y2[:, 1])
         assert t_n(FeatureMatrixPair(x, y2), seed=3) == base
 
-    def test_degenerate_guard_raises(self, pair):
-        # with valid rank data the denominator never drops below 1, so the
-        # guard is exercised by raising the tolerance above it
-        with pytest.raises(DegenerateDenominatorError):
-            t_n(pair, seed=0, eps=2.0)
-
     def test_row_count_validation(self, rng):
         with pytest.raises(ValueError):
             FeatureMatrixPair(rng.standard_normal((5, 1)), rng.standard_normal((6, 1)))
@@ -150,7 +146,7 @@ class TestTnStar:
         pair = FeatureMatrixPair(x, y)
         star = t_n_star(pair, seed=1)
         assert star >= t_n_bar(pair, seed=1)
-        assert star >= t_n_bar(pair.swapped(), seed=1)
+        assert star >= t_n_bar(FeatureMatrixPair(y, x), seed=1)
 
     def test_identical_blocks_directions_agree(self, rng):
         x = rng.standard_normal((80, 2))
@@ -167,6 +163,51 @@ def test_xi_sum_keeps_denominator_above_one(rng):
     y = np.column_stack([x[:, 0], x[:, 0] + 1e-9 * rng.standard_normal(60)])
     val = t_n(FeatureMatrixPair(x, y), seed=0)
     assert math.isfinite(val)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Tie-heavy blocks: a coarse lattice or rounded normals, rows duplicated."""
+    n = draw(st.integers(2, 40))
+    q = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 8 - q))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = r.integers(0, draw(st.integers(2, 4)), size=(n, p + q)) * 0.1
+    else:
+        base = np.round(r.standard_normal((n, p + q)), 1)
+    z = base[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    z[0, np.ptp(z, axis=0) == 0] += 1.0  # every column may be a response
+    return FeatureMatrixPair(z[:, :p], z[:, p:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_pairs())
+def test_xi_terms_at_most_one_and_denominators_at_least_one(pair):
+    # sum(r) == sum(l) bounds every xi term by 1, so the response-only
+    # denominator q - den_sum of every ordering, both ways, is at least 1
+    graph = _TermGraph(pair, seed=5)
+    for direction, preds, resp_cols in (("y_on_x", graph.x_cols, graph.y_cols),
+                                        ("x_on_y", graph.y_cols, graph.x_cols)):
+        for perm in make_plan(len(resp_cols)).perms:
+            order = tuple(resp_cols[i] for i in perm)
+            den_sum = 0.0
+            for ell, resp in enumerate(order):
+                assert graph.xi(direction, resp, preds + order[:ell]) <= 1.0
+                if ell >= 1:
+                    term = graph.xi(direction, resp, order[:ell])
+                    assert term <= 1.0
+                    den_sum += term
+            assert len(order) - den_sum >= 1.0
+    assert xi_n(pair.y[:, 0], pair.x, seed=2) <= 1.0
+    for stat in (t_n(pair, seed=3), t_n_bar(pair, seed=3), t_n_star(pair, seed=3)):
+        assert math.isfinite(stat) and stat <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 2**32 - 1))
+def test_null_draws_at_most_one(n, seed):
+    assert _xi_null_batch(n, 500, np.random.default_rng(seed)).max() <= 1.0
 
 
 def _tied_blocks(seed, n, p, q, kind):
