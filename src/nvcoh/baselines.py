@@ -50,20 +50,9 @@ def bandpass(ts: TimeSeriesMatrix, band: FrequencyBand,
     return signal.sosfiltfilt(sos, ts.data, axis=0)
 
 
-def _lag_window(max_lag: int) -> int:
-    """Samples `pbc` needs: every lag in range, 30 of them overlapping."""
+def min_samples(max_lag: int = DEFAULT_MAX_LAG) -> int:
+    """Shortest channel `pbc` accepts: every lag in range, 30 of them overlapping."""
     return max(2 * max_lag + 2, max_lag + 30)
-
-
-def min_samples(max_lag: int = DEFAULT_MAX_LAG,
-                order: int = DEFAULT_FILTER_ORDER) -> int:
-    """Shortest recording that `region_pbc` accepts.
-
-    Besides the lag window of `pbc`, the forward-backward filter pads each
-    edge with ``3 * (2 * order + 1)`` samples (one second-order section per
-    order of the band-pass) and needs more samples than that.
-    """
-    return max(_lag_window(max_lag), 3 * (2 * order + 1) + 1)
 
 
 def _corr_at_lag(x: np.ndarray, y: np.ndarray, lag: int) -> float:
@@ -92,9 +81,9 @@ def pbc(x, y, max_lag: int = DEFAULT_MAX_LAG) -> float:
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size != y.size:
         raise ValueError("channels must have equal length")
-    if x.size < _lag_window(max_lag):
+    if x.size < min_samples(max_lag):
         raise ValueError(
-            f"need at least {_lag_window(max_lag)} samples for max_lag={max_lag}")
+            f"need at least {min_samples(max_lag)} samples for max_lag={max_lag}")
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         raise ValueError("zero-variance input")
     best = 0.0

@@ -30,7 +30,7 @@ from .inference import (
     p_values,
 )
 from .rank_core import DegenerateRanksError, derive_seed
-from .simulation import CASES, DEFAULT_MODULUS, check_study, run_study
+from .simulation import CASES, DEFAULT_MODULUS, run_study
 from .spectral import (
     CANONICAL_BANDS,
     BlockTooLongError,
@@ -406,15 +406,15 @@ def cmd_compare(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        check_study(args.cases, args.n_secs, args.block_len, args.fs)
-    except ValueError as exc:
+        report = run_study(cases=args.cases, n_secs=args.n_secs,
+                           replicates=args.reps, block_len=args.block_len,
+                           alpha=args.alpha, seed=args.seed, fs=args.fs,
+                           measure=args.measure, null_reps=args.null_reps,
+                           modulus=args.modulus, workers=args.threads)
+    except ValueError as exc:  # settings run_study refuses before any replicate
         raise UsageError(str(exc)) from None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = run_study(cases=args.cases, n_secs=args.n_secs, replicates=args.reps,
-                       block_len=args.block_len, alpha=args.alpha, seed=args.seed,
-                       fs=args.fs, measure=args.measure, null_reps=args.null_reps,
-                       modulus=args.modulus, workers=args.threads)
     report.write_csv(out / "report.csv")
     report.write_json(out / "report.json")
     manifest = RunManifest(

