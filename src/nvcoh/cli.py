@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -103,19 +104,29 @@ def default_region_config() -> RegionConfig:
 
 
 def load_region_config(path) -> RegionConfig:
+    """Regions and pairs from a JSON object; a malformed file is a `DataError`."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise DataError(f"cannot read region config {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSON syntax or text encoding
         raise DataError(f"invalid region JSON {path}: {exc}") from exc
-    if "regions" not in raw:
-        raise DataError(f"region config {path} lacks a 'regions' map")
-    regions = {str(k): tuple(str(c) for c in v) for k, v in raw["regions"].items()}
-    if "pairs" in raw:
-        pairs = tuple((str(a), str(b)) for a, b in raw["pairs"])
-    else:
-        pairs = tuple(itertools.combinations(sorted(regions), 2))
-    return RegionConfig(regions=regions, pairs=pairs)
+    regions = raw.get("regions") if isinstance(raw, dict) else None
+    if not isinstance(regions, dict):
+        raise DataError(f"region config {path} must be a JSON object "
+                        "with a 'regions' map")
+    if not all(isinstance(v, list) for v in regions.values()):
+        raise DataError(f"region config {path}: each region maps to a list of channels")
+    pairs = raw.get("pairs")
+    if pairs is None:
+        pairs = itertools.combinations(sorted(regions), 2)
+    elif not (isinstance(pairs, list)
+              and all(isinstance(pair, list) and len(pair) == 2 for pair in pairs)):
+        raise DataError(f"region config {path}: 'pairs' must list pairs of two "
+                        "region names")
+    return RegionConfig(regions={k: tuple(str(c) for c in v) for k, v in regions.items()},
+                        pairs=tuple((str(a), str(b)) for a, b in pairs))
 
 
 @dataclass
@@ -203,10 +214,12 @@ def _profile_worker(args):
     plan_y = _default_plan(y.n_channels, n_perms, master_seed)
     plan_x = _default_plan(x.n_channels, n_perms, master_seed) \
         if measure == "tstar" else None
-    profile = nvc_profile(x, y, block_len, measure=measure,
-                          seed=derive_seed(master_seed, "pair", pair_name),
-                          plan_x=plan_x, plan_y=plan_y)
-    return pair_name, profile.estimates, profile.meta
+    # warnings return with the result, so that a worker process prints none
+    with warnings.catch_warnings(record=True) as caught:
+        profile = nvc_profile(x, y, block_len, measure=measure,
+                              seed=derive_seed(master_seed, "pair", pair_name),
+                              plan_x=plan_x, plan_y=plan_y)
+    return pair_name, profile.estimates, profile.meta, [str(w.message) for w in caught]
 
 
 def cmd_analyze(args) -> int:
@@ -231,12 +244,14 @@ def cmd_analyze(args) -> int:
             results = list(pool.map(_profile_worker, tasks))
     else:
         results = [_profile_worker(t) for t in tasks]
+    for note in dict.fromkeys(note for *_, notes in results for note in notes):
+        warnings.warn(note)
 
     # one null ensemble per distinct (n, q); no data enters it
     ensembles: dict = {}
     per_pair = []
     all_p: list[float] = []
-    for pair_name, estimates, meta in results:
+    for pair_name, estimates, meta, _ in results:
         key = (n_blocks, meta["q"])
         if key not in ensembles:
             ensembles[key] = null_ensemble(
@@ -273,9 +288,9 @@ def cmd_analyze(args) -> int:
         payload = {
             "pair": pair_name,
             "freqs_hz": freqs.tolist(),
-            "estimate": [None if math.isnan(v) else v for v in estimates.tolist()],
-            "p_raw": [None if math.isnan(v) else v for v in praw.tolist()],
-            "p_adj": [None if math.isnan(v) else v for v in padj.tolist()],
+            "estimate": estimates.tolist(),
+            "p_raw": praw.tolist(),
+            "p_adj": padj.tolist(),
             "band_summary": summary,
             "meta": {**meta, "alpha": args.alpha,
                      "null_reps": ensemble.n_reps,
@@ -573,26 +588,32 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"nvc: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on usage errors / --help
         return int(exc.code or 0)
-    try:
-        if args.seed is None:
-            args.seed = _default_seed()
-        _check_args(args)
-        return args.func(args)
-    except (UsageError, EmptyBandError) as exc:
-        print(f"nvc: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, BlockTooLongError) as exc:
-        print(f"nvc: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DegenerateRanksError as exc:
-        print(f"nvc: numerical degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            if args.seed is None:
+                args.seed = _default_seed()
+            _check_args(args)
+            return args.func(args)
+        except (UsageError, EmptyBandError) as exc:
+            print(f"nvc: usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (DataError, BlockTooLongError) as exc:
+            print(f"nvc: data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except DegenerateRanksError as exc:
+            print(f"nvc: numerical degeneracy: {exc}", file=sys.stderr)
+            return EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

@@ -17,11 +17,13 @@ needs no seed: ``candidates(cols)`` returns, for a subset of its columns,
 each row's nearest other row and, for rows with several exact minimisers,
 their candidates; `NeighborCandidates.resolve` then draws for one seed.  The
 chained statistic in `vector_measure` searches once per predictor set and
-resolves ties per term.  The search picks the backend: sort-and-scan for a
-single column, a scan of the squared-distance matrix for
-``n < _EXHAUSTIVE_MAX_N`` rows, and above that a k-d tree whose relative
-near-ties (``_NEAR_TIE_RTOL``) are re-checked with the exact metric.  The
-threshold, 160, is where the two backends cost the same for both the chained
+resolves ties per term.  The search picks the backend by row count first:
+below ``_EXHAUSTIVE_MAX_N`` rows every column set, a single column included,
+is scanned in its squared-distance matrix.  From there on a single column
+takes a sorted scan and more columns a k-d tree; both screen for the nearest
+row and re-check near-ties with the exact metric over a window (sorted
+positions) or a ball (tree) that holds every possible minimiser.  The
+threshold, 160, is where matrix and tree cost the same for both the chained
 statistic and a single search (README, "Performance").  The matrix is the
 contract's row sum over C-contiguous rows.  numpy sums at most seven terms
 strictly left to right, so up to seven columns the same matrix results from
@@ -184,78 +186,44 @@ class NeighborCandidates:
         return n_of
 
 
-def _nn_1d(x: np.ndarray) -> NeighborCandidates:
-    """Sort-and-scan neighbor search for scalar predictors, O(n log n)."""
-    n = x.shape[0]
+def _nn_sorted(x: np.ndarray) -> NeighborCandidates:
+    """Sort-and-scan neighbour search for one column, O(n log n).
+
+    Float squared gaps never shrink with distance in sorted order, so the row
+    at sorted position p has its minimum at p - 1 or p + 1.  It is unique
+    unless it equals the gap on the other side or one step further out on the
+    same side; such rows are re-checked exactly over the window in the radius.
+    """
     order = np.argsort(x, kind="stable")
     sx = x[order]
-    if n > 2 and (sx[1:] != sx[:-1]).all():
-        return _nn_1d_distinct(order, sx)
-
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    new_run[1:] = sx[1:] != sx[:-1]
-    run_of = np.cumsum(new_run) - 1          # run id per sorted position
-    starts = np.flatnonzero(new_run)
-    lens = np.diff(np.append(starts, n))
-    uniq = sx[starts]
-    gap = (uniq[1:] - uniq[:-1]) ** 2        # squared gaps between runs
-    gap_prev = np.concatenate(([np.inf], gap))
-    gap_next = np.concatenate((gap, [np.inf]))
-
-    n_of = np.full(n, -1, dtype=np.int64)
-    pos = np.arange(n)
-    m = lens[run_of]
-
-    # runs of two duplicates: members point at each other, no randomness
-    two = m == 2
-    if two.any():
-        s = starts[run_of[two]]
-        partner = np.where(pos[two] == s, s + 1, s)
-        n_of[order[two]] = order[partner]
-
-    single = m == 1
-    left_closer = single & (gap_prev[run_of] < gap_next[run_of])
-    right_closer = single & (gap_prev[run_of] > gap_next[run_of])
-    uniq_left = left_closer & (lens[run_of - 1] == 1)
-    uniq_right = right_closer & (lens[np.minimum(run_of + 1, lens.size - 1)] == 1)
-    if uniq_left.any():
-        n_of[order[uniq_left]] = order[starts[run_of[uniq_left] - 1]]
-    if uniq_right.any():
-        n_of[order[uniq_right]] = order[starts[run_of[uniq_right] + 1]]
-
-    # everything else has several exactly-minimising candidates
+    gap = np.concatenate(([np.inf], (sx[1:] - sx[:-1]) ** 2, [np.inf]))
+    far = np.concatenate(([np.inf] * 2, (sx[2:] - sx[:-2]) ** 2, [np.inf] * 2))
+    left, right = gap[:-1], gap[1:]
+    # equal gaps go left only to stay in bounds; they are re-checked below
+    to_left = left <= right
+    best = np.where(to_left, left, right)
+    further = np.where(to_left, far[:-2], far[2:])
+    n_of = np.empty_like(order)
+    n_of[order] = order[np.arange(order.size) + np.where(to_left, -1, 1)]
+    recheck = np.flatnonzero((left == right) | (best == further))
+    if recheck.size == 0:
+        return NeighborCandidates(n_of)
+    # differences below about 1.5e-154 have subnormal or zero squares, too
+    # coarse for a relative radius, so the radius never shrinks below that
+    radius = np.maximum(np.sqrt(best[recheck]) * (1.0 + 1e-9), 1e-150)
+    lo = np.searchsorted(sx, sx[recheck] - radius, side="left")
+    hi = np.searchsorted(sx, sx[recheck] + radius, side="right")
     tied = []
-    for p in np.flatnonzero(n_of[order] < 0):
-        rid = run_of[p]
-        if m[p] >= 3:
-            members = order[starts[rid]: starts[rid] + lens[rid]]
-            cand = members[members != order[p]]
-        elif left_closer[p]:
-            cand = order[starts[rid - 1]: starts[rid - 1] + lens[rid - 1]]
-        elif right_closer[p]:
-            cand = order[starts[rid + 1]: starts[rid + 1] + lens[rid + 1]]
-        else:  # exactly equal squared gaps on both sides
-            cand = np.concatenate([
-                order[starts[rid - 1]: starts[rid - 1] + lens[rid - 1]],
-                order[starts[rid + 1]: starts[rid + 1] + lens[rid + 1]],
-            ])
-        tied.append((int(order[p]), np.sort(cand)))
-    return NeighborCandidates(n_of, tied)
-
-
-def _nn_1d_distinct(order: np.ndarray, sx: np.ndarray) -> NeighborCandidates:
-    """Fast path for all-distinct scalar predictors: compare adjacent gaps."""
-    n = sx.shape[0]
-    gaps = (sx[1:] - sx[:-1]) ** 2
-    left = np.concatenate(([np.inf], gaps))
-    right = np.concatenate((gaps, [np.inf]))
-    pos = np.arange(n)
-    nn_pos = np.where(left < right, pos - 1, pos + 1)
-    n_of = np.empty(n, dtype=np.int64)
-    n_of[order] = order[nn_pos]
-    tied = [(int(order[p]), np.sort(order[[p - 1, p + 1]]))
-            for p in np.flatnonzero(left == right)]  # exactly equal squared gaps
+    for p, a, b in zip(recheck.tolist(), lo.tolist(), hi.tolist()):
+        j = int(order[p])
+        if sx[a] == sx[b - 1]:  # all at distance zero, ascending (stable sort)
+            cand = np.concatenate((order[a:p], order[p + 1:b]))
+        else:
+            cand = _exact_candidates(x[:, None], j, order[a:b])
+        if cand.shape[0] == 1:
+            n_of[j] = cand[0]
+        else:
+            tied.append((j, cand))
     return NeighborCandidates(n_of, tied)
 
 
@@ -292,8 +260,7 @@ def _nn_kdtree(v: np.ndarray) -> NeighborCandidates:
     near = (d2 - d1) <= d1 * _NEAR_TIE_RTOL
     tied = []
     for j in np.flatnonzero(near):
-        radius = 0.0 if d2[j] == 0.0 else d2[j] * (1.0 + 1e-9)
-        ball = tree.query_ball_point(v[j], radius)
+        ball = tree.query_ball_point(v[j], d2[j] * (1.0 + 1e-9))
         cand = _exact_candidates(v, int(j), np.asarray(ball))
         if cand.shape[0] == 1:
             n_of[j] = cand[0]
@@ -321,17 +288,22 @@ class NeighborSearch:
         return self._found[cols]
 
     def _search(self, cols: tuple[int, ...]) -> NeighborCandidates:
-        """The one backend choice; runs once per distinct column set."""
-        if len(cols) == 1:
-            return _nn_1d(self.z[:, cols[0]].copy())
+        """The one backend choice, by row count first; once per column set.
+
+        Below `_EXHAUSTIVE_MAX_N` rows every set, a single column included, is
+        scanned in its squared-distance matrix; from there on one column takes
+        the sorted scan and more the k-d tree, both re-checking near-ties exactly.
+        """
+        if self.z.shape[0] >= _EXHAUSTIVE_MAX_N:
+            if len(cols) == 1:
+                return _nn_sorted(self.z[:, cols[0]])
+            return _nn_kdtree(np.ascontiguousarray(self.z[:, cols]))
+        if len(cols) <= _MAX_ACCUMULATED_WIDTH:
+            return _nn_exhaustive(self._sq(cols))
         # numpy sums a row of eight or more entries pairwise only when the row
         # is contiguous in memory, as in the contract; a column selection or
         # column-major input would be summed left to right
         v = np.ascontiguousarray(self.z[:, cols])
-        if v.shape[0] >= _EXHAUSTIVE_MAX_N:
-            return _nn_kdtree(v)
-        if len(cols) <= _MAX_ACCUMULATED_WIDTH:
-            return _nn_exhaustive(self._sq(cols))
         sq = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
         np.fill_diagonal(sq, np.inf)
         return _nn_exhaustive(sq)
@@ -411,8 +383,9 @@ def xi_n(u, v, seed: int = 0) -> float:
     Near 0 when ``u`` is independent of ``v``, near 1 when ``u`` is a
     measurable function of ``v``.  Invariant to strictly increasing
     transforms of ``u``; the predictor enters only through nearest-neighbor
-    structure.  O(n log n) for scalar predictors, expected O(n log n) with the
-    spatial index otherwise.
+    structure.  From ``_EXHAUSTIVE_MAX_N`` rows up, O(n log n) for scalar
+    predictors and expected O(n log n) with the spatial index otherwise;
+    below it, an O(n^2) scan.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64)

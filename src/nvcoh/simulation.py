@@ -10,6 +10,7 @@ and aggregates Monte Carlo summaries per case, sample size and frequency.
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -249,21 +250,25 @@ def check_study(cases, n_secs, block_len: int, fs: float) -> None:
     for n_sec in n_secs:
         if n_sec < 10:
             raise ValueError("need at least 10 seconds per replicate")
+        if not math.isfinite(n_sec * fs):
+            raise ValueError(f"{n_sec} s at {fs} Hz overflows the sample count")
         n_blocks = int(round(n_sec * fs)) // block_len
         if n_blocks < 2:
             raise ValueError(f"{n_sec} s at {fs} Hz holds {n_blocks} complete "
                              f"block(s) of {block_len} samples; need at least 2")
 
 
-def _replicate(args) -> tuple[int, np.ndarray | None, str | None]:
+def _replicate(args) -> tuple[int, np.ndarray | None, str | None, list[str]]:
     (idx, case_id, n_sec, fs, block_len, measure, modulus, rep_seed) = args
     try:
-        x, y = gen_case(case_id, n_sec, fs=fs, seed=rep_seed, modulus=modulus)
-        profile = nvc_profile(x, y, block_len, measure=measure,
-                              seed=derive_seed(rep_seed, "measure"))
-        return idx, profile.estimates, None
+        # warnings return with the result, so that a worker process prints none
+        with warnings.catch_warnings(record=True) as caught:
+            x, y = gen_case(case_id, n_sec, fs=fs, seed=rep_seed, modulus=modulus)
+            profile = nvc_profile(x, y, block_len, measure=measure,
+                                  seed=derive_seed(rep_seed, "measure"))
+        return idx, profile.estimates, None, [str(w.message) for w in caught]
     except Exception as exc:  # noqa: BLE001 - reported and rate-limited upstream
-        return idx, None, f"{type(exc).__name__}: {exc}"
+        return idx, None, f"{type(exc).__name__}: {exc}", []
 
 
 def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 200,
@@ -290,6 +295,7 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
     # one null ensemble per distinct (n, q); no data enters it
     ensembles: dict = {}
     failures: list[str] = []
+    warned: set[str] = set()
 
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -306,7 +312,11 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
                     else map(_replicate, tasks)
                 estimates = np.full((replicates, freqs_hz.size), np.nan)
                 cell_failures = 0
-                for idx, est, err in results:
+                for idx, est, err, notes in results:
+                    for note in notes:
+                        if note not in warned:
+                            warned.add(note)
+                            warnings.warn(note, stacklevel=2)
                     if err is None:
                         estimates[idx] = est
                     else:
@@ -340,11 +350,15 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
                         "se": float(se[i]), "reject_rate": float(reject_rate[i]),
                     })
                 for name, mask in table1_frequency_sets(case_id, freqs_hz).items():
+                    # short blocks may retain no frequency of a set: null
+                    held = mask.any()
                     set_rows.append({
                         "case": int(case_id), "n_sec": float(n_sec), "set": name,
-                        "reject_rate": float(np.nanmean(reject_rate[mask])),
-                        "ave_se": float(np.nanmean(se[mask])),
-                        "mean_estimate": float(np.nanmean(mean[mask])),
+                        "reject_rate":
+                            float(np.nanmean(reject_rate[mask])) if held else None,
+                        "ave_se": float(np.nanmean(se[mask])) if held else None,
+                        "mean_estimate":
+                            float(np.nanmean(mean[mask])) if held else None,
                         "n_freqs": int(mask.sum()),
                     })
     finally:

@@ -87,8 +87,23 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
+def _finite_or_null(value):
+    """The payload with every non-finite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_json(path, payload) -> None:
-    """Sorted keys and two-space indent, so equal payloads give equal bytes."""
+    """Strict JSON: non-finite floats are written as null.
+
+    Sorted keys and two-space indent, so equal payloads give equal bytes.
+    """
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=True)
+        json.dump(_finite_or_null(payload), fh, sort_keys=True, indent=2,
+                  allow_nan=False)
         fh.write("\n")

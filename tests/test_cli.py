@@ -119,6 +119,28 @@ class TestRegions:
         config = load_region_config(reg)
         assert config.pairs == (("RA", "RC"),)
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read region config"),
+        ('[["a1", "a2"]]', "must be a JSON object"),
+        ('{"regions": [["a1"], ["b1"]]}', "must be a JSON object"),
+        ('{"regions": {"RA": ["a1"], "RB": ["b1"]}, "pairs": [["RA", "RB", "RA"]]}',
+         "pairs of two region names"),
+        ('{"regions": {"RA": "a1", "RB": ["b1"]}}', "list of channels"),
+    ], ids=["missing", "top_level_list", "regions_list", "three_name_pair",
+            "string_channels"])
+    def test_malformed_config_is_a_data_error(self, content, message, tmp_path, capsys):
+        rec = tmp_path / "rec.csv"
+        write_csv(rec, ["a1", "b1"], np.random.default_rng(0).standard_normal((600, 2)))
+        reg = tmp_path / "regions.json"
+        if content is not None:
+            reg.write_text(content)
+        rc = main(["analyze", "--input", str(rec), "--regions", str(reg),
+                   "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith("nvc: data error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestAnalyze:
     def test_outputs_and_schema(self, two_region_recording, tmp_path):
@@ -263,6 +285,41 @@ class TestSimulateAndNullDist:
         assert len(lines) == 1 + 49
         report = json.loads((out / "report.json").read_text())
         assert report["meta"]["cases"] == [3]
+
+    def test_report_json_is_strict(self, tmp_path):
+        # four-sample blocks at 100 Hz retain no frequency of case 3's alpha set
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--cases", "3", "--n-secs", "10", "--block-len", "4",
+                   "--reps", "10", "--null-reps", "20", "--out-dir", str(out)])
+        assert rc == EXIT_OK
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        empty = [row for row in report["set_rows"] if row["n_freqs"] == 0]
+        assert empty
+        assert all(row[key] is None for row in empty
+                   for key in ("reject_rate", "ave_se", "mean_estimate"))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_short_recordings_warn_in_one_line(self, threads, tmp_path, capfd):
+        # worker processes write to the same stderr, so capture it at the fd
+        rec = tmp_path / "rec.csv"
+        write_csv(rec, ["a1", "b1"], np.random.default_rng(0).standard_normal((900, 2)))
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"RA": ["a1"], "RB": ["b1"]})
+        note = "nvc: warning: only {} blocks available; estimates will be noisy"
+        for argv, blocks in [
+            (["analyze", "--input", str(rec), "--regions", str(reg), "--block-len",
+              "100", "--discard-secs", "0"], [9]),
+            (["simulate", "--cases", "1", "3", "--n-secs", "10", "12", "--block-len",
+              "200", "--reps", "10", "--null-reps", "20"], [5, 6]),
+        ]:
+            rc = main(argv + ["--threads", threads, "--out-dir", str(tmp_path / "out")])
+            assert rc == EXIT_OK
+            err = capfd.readouterr().err
+            assert err.splitlines() == [note.format(n) for n in blocks]
 
     def test_null_dist_outputs(self, tmp_path):
         out = tmp_path / "null"
@@ -415,6 +472,9 @@ class TestParameterBoundary:
         (["baseline", "--input", "560"], EXIT_DATA),
         (["baseline", "--input", "700", "--max-lag", "500"], EXIT_DATA),
         (["baseline", "--input", "520", "--max-lag", "0"], EXIT_DATA),
+        # each value is finite, the sample count is not
+        (["simulate", "--cases", "1", "--n-secs", "1e200", "--fs", "1e200",
+          "--reps", "10"], EXIT_USAGE),
     ])
     def test_exit_code_and_one_line(self, argv, code, two_region_recording,
                                     tmp_path, capsys):
@@ -459,7 +519,10 @@ class TestParameterBoundary:
 
 @pytest.fixture(scope="module")
 def fixture_files(tmp_path_factory):
-    """Tiny recordings (plain, short, rounded, one constant channel) and regions."""
+    """Tiny recordings (plain, short, rounded, one constant channel) and regions.
+
+    ``bad_pairs`` lists a pair of three names and ``no_regions`` names no file.
+    """
     base = tmp_path_factory.mktemp("argv")
     r = np.random.default_rng(7)
     labels = ["a1", "a2", "b1", "b2"]
@@ -475,6 +538,10 @@ def fixture_files(tmp_path_factory):
         write_csv(files[name], labels, data)
     files["regions"] = base / "regions.json"
     write_regions(files["regions"], {"RA": ["a1", "a2"], "RB": ["b1", "b2"]})
+    files["bad_pairs"] = base / "bad_pairs.json"
+    write_regions(files["bad_pairs"], {"RA": ["a1"], "RB": ["b1"]},
+                  [["RA", "RB", "RA"]])
+    files["no_regions"] = base / "no_regions.json"
     return files
 
 
@@ -488,7 +555,8 @@ def _flags(**choices):
 _RECORDING = dict(fs=["0.5", "10", "100", "0"], discard_secs=["0", "1", "5", "1e308"],
                   block_len=["2", "4", "10", "100", "400"], seed=["0", "3", "-1"],
                   bands=["a:1:2", "lo:4:8,hi:8:12", "x:10:60", "bad"],
-                  standardize=["", "no"])
+                  standardize=["", "no"],
+                  regions=["regions", "bad_pairs", "no_regions"])
 _ARGV = st.one_of(
     st.tuples(st.just("analyze"),
               st.sampled_from(["plain", "short", "rounded", "constant", "one_row"]),
@@ -509,14 +577,15 @@ _ARGV = st.one_of(
 )
 
 
-_FILLED = {"simulate": {"cases": "3", "n_secs": "10", "reps": "10"},
+_FILLED = {"analyze": {"regions": "regions"}, "baseline": {"regions": "regions"},
+           "simulate": {"cases": "3", "n_secs": "10", "reps": "10"},
            "null-dist": {"n_blocks": "10", "q": "1"}}
 
 
 def _argv(command, recording, flags, files, out_dir):
     argv = [command, "--out-dir", out_dir]
     if recording is not None:
-        argv += ["--input", str(files[recording]), "--regions", str(files["regions"])]
+        argv += ["--input", str(files[recording])]
     # null-dist requires these; simulate's defaults (all cases, up to 200 s,
     # 200 replicates) would take minutes
     given = {k: v for k, v in flags.items() if v is not None}
@@ -525,6 +594,8 @@ def _argv(command, recording, flags, files, out_dir):
         flag = "--" + name.replace("_", "-")
         if name == "standardize":
             argv.append(f"--{value}{'-' if value else ''}standardize")
+        elif name == "regions":
+            argv += [flag, str(files[value])]
         else:
             argv += [flag, *value.split()]
     return argv

@@ -146,6 +146,36 @@ class TestNeighborSearch:
             want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=4)
             assert np.array_equal(got, want)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["cancellation", "underflow", "offset",
+                                 "duplicates", "integers"]),
+           n=st.one_of(st.integers(3, rank_core._EXHAUSTIVE_MAX_N - 1),
+                       st.integers(rank_core._EXHAUSTIVE_MAX_N,
+                                   rank_core._EXHAUSTIVE_MAX_N + 60)))
+    def test_single_column_matches_brute_force(self, seed, kind, n):
+        # squared gaps that differ in value can round to equal floats or to
+        # zero, so every minimiser must come from the exact metric
+        r = np.random.default_rng(seed)
+        steps = np.arange(1, n - 1, dtype=np.float64)
+        if kind == "cancellation":
+            v = np.concatenate(([1e3], np.arange(1, n) * 1e-14))
+        elif kind == "underflow":
+            v = np.concatenate(([0.0, 0.0], steps * 1e-170))
+        elif kind == "offset":
+            v = np.concatenate(([-2.0**60, 0.0], steps))
+        elif kind == "duplicates":
+            base = r.standard_normal(max(n // 4, 1))
+            v = base[r.integers(0, base.size, size=n)]
+        else:
+            v = r.integers(0, 20, size=n).astype(np.float64)
+        v = r.permutation(v)
+        want = brute_force_neighbors(v, seed=seed)
+        assert np.array_equal(nearest_neighbors(v, seed=seed).n_of, want)
+        # the column as a strided selection of a wider matrix
+        z = np.column_stack([r.standard_normal(n), v])
+        assert np.array_equal(NeighborSearch(z).candidates((1,)).resolve(seed), want)
+
     def test_each_column_set_searched_once(self):
         search = NeighborSearch(np.random.default_rng(0).standard_normal((30, 4)))
         assert search.candidates((0, 2)) is search.candidates([0, 2])
