@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import DEFAULT_MAX_LAG, min_samples, rbp, region_pbc
+from .baselines import DEFAULT_MAX_LAG, min_samples, pbc_table, rbp
 from .inference import (
     DEFAULT_GROUP_PERMS,
     DEFAULT_NULL_REPS,
@@ -336,13 +336,9 @@ def cmd_baseline(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    pbc_rows = []
-    for a, b in config.pairs:
-        x = ts.select(config.regions[a])
-        y = ts.select(config.regions[b])
-        for band in bands:
-            value = region_pbc(x, y, band, max_lag=args.max_lag)
-            pbc_rows.append((f"{a}-{b}", band.name, value))
+    table = pbc_table(ts, config.regions, config.pairs, bands, max_lag=args.max_lag)
+    pbc_rows = [(f"{a}-{b}", band.name, float(table[p, k]))
+                for p, (a, b) in enumerate(config.pairs) for k, band in enumerate(bands)]
 
     rbp_rows = []
     for name in sorted(config.regions):
@@ -426,7 +422,7 @@ def cmd_simulate(args) -> int:
                            alpha=args.alpha, seed=args.seed, fs=args.fs,
                            measure=args.measure, null_reps=args.null_reps,
                            modulus=args.modulus, workers=args.threads)
-    except ValueError as exc:  # settings run_study refuses before any replicate
+    except ValueError as exc:  # settings refused up front, or failing every replicate
         raise UsageError(str(exc)) from None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,10 @@ below ``_EXHAUSTIVE_MAX_N`` rows every column set, a single column included,
 is scanned in its squared-distance matrix.  From there on a single column
 takes a sorted scan and more columns a k-d tree; both screen for the nearest
 row and re-check near-ties with the exact metric over a window (sorted
-positions) or a ball (tree) that holds every possible minimiser.  The
+positions) or a ball (tree) that holds every possible minimiser.  Squares
+that overflow are inf and tie with one another, never with the row itself;
+the tree's ball query fails where squared distances may overflow, so such
+column sets take the matrix scan whatever their row count.  The row-count
 threshold, 160, is where matrix and tree cost the same for both the chained
 statistic and a single search (README, "Performance").  The matrix is the
 contract's row sum over C-contiguous rows.  numpy sums at most seven terms
@@ -33,6 +36,7 @@ pairwise, so wider matrices are computed by the contract expression itself.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from dataclasses import dataclass
 
@@ -58,6 +62,7 @@ __all__ = [
 _EXHAUSTIVE_MAX_N = 160
 # relative gap under which two neighbor distances are re-checked exactly
 _NEAR_TIE_RTOL = 1e-12
+_SQRT_MAX = np.sqrt(np.finfo(np.float64).max)
 # numpy reduces a row of at most this many terms strictly left to right, so
 # squared differences summed column by column in that order equal the
 # contract's ``.sum(axis=-1)`` bit for bit; wider rows are summed pairwise
@@ -239,16 +244,39 @@ def _nn_exhaustive(sq: np.ndarray) -> NeighborCandidates:
     """Row-wise minimisers of a squared-distance matrix with infinite diagonal."""
     n = sq.shape[0]
     n_of = sq.argmin(axis=1)
-    eq = sq == sq[np.arange(n), n_of][:, None]
+    best = sq[np.arange(n), n_of]
+    eq = sq == best[:, None]
     if np.count_nonzero(eq) == n:  # one minimiser per row
         return NeighborCandidates(n_of)
+    # a row whose every distance overflows also ties with its own inf diagonal
+    inf_rows = np.flatnonzero(best == np.inf)
+    eq[inf_rows, inf_rows] = False
+    n_of[inf_rows] = eq[inf_rows].argmax(axis=1)
     tied = [(int(j), np.flatnonzero(eq[j]))
             for j in np.flatnonzero(np.count_nonzero(eq, axis=1) > 1)]
     return NeighborCandidates(n_of, tied)
 
 
+def _squares_may_overflow(v: np.ndarray) -> bool:
+    """Whether a squared distance between rows of ``v`` may reach inf.
+
+    Each is below d (2 max|v|)**2; the test keeps a factor of four in hand.
+    """
+    return bool(np.abs(v).max() >= _SQRT_MAX / (4 * np.sqrt(v.shape[1])))
+
+
+def _contract_sq(v: np.ndarray) -> np.ndarray:
+    """The contract's squared distances of C-contiguous rows, infinite diagonal."""
+    sq = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
+    np.fill_diagonal(sq, np.inf)
+    return sq
+
+
 def _nn_kdtree(v: np.ndarray) -> NeighborCandidates:
     n = v.shape[0]
+    # squares at inf tie, and the tree's ball query fails where they may
+    if _squares_may_overflow(v):
+        return _nn_exhaustive(_contract_sq(v))
     tree = cKDTree(v)
     dd, ii = tree.query(v, k=3)
     ddm = np.where(ii == np.arange(n)[:, None], np.inf, dd)
@@ -280,11 +308,16 @@ class NeighborSearch:
         self.z = np.asarray(z, dtype=np.float64)
         self._found: dict = {}
         self._sums: dict = {}
+        # squares that overflow are inf, as in the contract; silencing the
+        # warning slows every ufunc call, so only such data pays for it
+        self._overflow = (np.errstate(over="ignore") if _squares_may_overflow(self.z)
+                          else contextlib.nullcontext())
 
     def candidates(self, cols) -> NeighborCandidates:
         cols = tuple(cols)
         if cols not in self._found:
-            self._found[cols] = self._search(cols)
+            with self._overflow:
+                self._found[cols] = self._search(cols)
         return self._found[cols]
 
     def _search(self, cols: tuple[int, ...]) -> NeighborCandidates:
@@ -303,10 +336,7 @@ class NeighborSearch:
         # numpy sums a row of eight or more entries pairwise only when the row
         # is contiguous in memory, as in the contract; a column selection or
         # column-major input would be summed left to right
-        v = np.ascontiguousarray(self.z[:, cols])
-        sq = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
-        np.fill_diagonal(sq, np.inf)
-        return _nn_exhaustive(sq)
+        return _nn_exhaustive(_contract_sq(np.ascontiguousarray(self.z[:, cols])))
 
     def _sq(self, cols: tuple[int, ...]) -> np.ndarray:
         """Squared distances over ``cols``, summed column by column in order.

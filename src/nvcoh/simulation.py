@@ -285,6 +285,9 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
     rate per frequency, plus rejection rates averaged over the pre-specified
     frequency sets.  Fully reproducible from (config, seed); replicates may
     run in parallel since each owns a derived seed.
+
+    Settings that `check_study` rejects, and a cell whose every replicate
+    fails (say, a sample count too large to allocate), raise ValueError.
     """
     if replicates < 10:
         raise ValueError("need at least 10 replicates")
@@ -322,6 +325,9 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
                     else:
                         cell_failures += 1
                         failures.append(f"case={case_id} n_sec={n_sec} rep={idx}: {err}")
+                if cell_failures == replicates:  # the settings, not the data
+                    raise ValueError(
+                        f"every replicate failed for case={case_id}, n_sec={n_sec}: {err}")
                 if cell_failures > 0.01 * replicates:
                     raise RuntimeError(
                         f"{cell_failures}/{replicates} replicates failed for "

@@ -30,11 +30,13 @@ def brute_force_neighbors(v, seed):
     if v.ndim == 1:
         v = v[:, None]
     n = v.shape[0]
-    sq = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
+    with np.errstate(over="ignore"):  # overflowing squares are inf
+        sq = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
     np.fill_diagonal(sq, np.inf)
     out = np.empty(n, dtype=np.int64)
     for j in range(n):
         cand = np.flatnonzero(sq[j] == sq[j].min())
+        cand = cand[cand != j]  # the inf diagonal ties where every square overflows
         if cand.size == 1:
             out[j] = cand[0]
         else:

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvcoh.baselines import bandpass, pbc, pbc_matrix, rbp, region_pbc
+from nvcoh.baselines import (
+    _corr_at_lag,
+    _screen,
+    bandpass,
+    min_samples,
+    pbc,
+    pbc_matrix,
+    rbp,
+    region_pbc,
+)
 from nvcoh.spectral import CANONICAL_BANDS, EmptyBandError, FrequencyBand, TimeSeriesMatrix
 
 BANDS = {b.name: b for b in CANONICAL_BANDS}
@@ -15,6 +24,15 @@ def make_ts(data, fs=100.0, labels=None):
         data = data.T
     labels = labels or tuple(f"c{i}" for i in range(data.shape[1]))
     return TimeSeriesMatrix(data, fs, tuple(labels))
+
+
+def pbc_every_lag(x, y, max_lag):
+    """Reference: `_corr_at_lag` at every lag, no screen."""
+    best = 0.0
+    for lag in range(-max_lag, max_lag + 1):
+        c = _corr_at_lag(x, y, lag)
+        best = max(best, c * c)
+    return min(best, 1.0)
 
 
 def tone(freq_hz, n_sec=600, fs=100.0, phase=0.0):
@@ -57,6 +75,15 @@ class TestBandpass:
         with pytest.raises(ValueError):
             bandpass(ts, FrequencyBand("bad", 40.0, 60.0))
 
+    @pytest.mark.parametrize("band", CANONICAL_BANDS, ids=lambda b: b.name)
+    def test_columns_filter_independently(self, band):
+        # what lets `pbc_table` filter all region channels in one call per band
+        data = np.random.default_rng(7).standard_normal((3000, 19))
+        whole = bandpass(make_ts(data), band)
+        for cols in ([4], [0, 18], [2, 9, 5], list(range(19))[::-1]):
+            part = bandpass(make_ts(data[:, cols]), band)
+            assert np.ascontiguousarray(whole[:, cols]).tobytes() == part.tobytes()
+
 
 class TestPbc:
     def test_identical_channels(self, rng):
@@ -98,6 +125,46 @@ class TestPbc:
     def test_length_preconditions(self, rng):
         with pytest.raises(ValueError):
             pbc(rng.standard_normal(50), rng.standard_normal(50), max_lag=50)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["periodic", "two_lags", "offset", "rounded", "integer"]),
+           max_lag=st.integers(0, 25), extra=st.sampled_from([0, 1, 2, 7, 300]))
+    def test_screen_keeps_every_lag_result(self, seed, kind, max_lag, extra):
+        # families where several lags give near-equal |c|, where the screen
+        # must give way to the exact evaluation, or where values are coarse
+        r = np.random.default_rng(seed)
+        n = min_samples(max_lag) + extra
+        t = np.arange(n)
+        x = r.standard_normal(n)
+        y = r.standard_normal(n)
+        if kind == "periodic":  # lags a period apart differ by rounding alone
+            period = int(r.integers(3, 13))
+            x = np.sin(2 * np.pi * t / period)
+            y = np.sin(2 * np.pi * (t + r.integers(0, period)) / period)
+        elif kind == "two_lags":  # y = shift(x, k) - shift(x, -k): +c and -c
+            k = int(r.integers(0, max_lag + 1))
+            y = np.roll(x, k) - np.roll(x, -k) + (0 if k else y)
+        elif kind == "offset":
+            x = x + 1e15
+            y = 0.5 * x + 1e15 * r.standard_normal() + y
+            assert _screen(x, y, max_lag) is None
+        elif kind == "rounded":
+            x, y = np.round(x, 1), np.round(0.7 * x + y, 1)
+        else:
+            x, y = r.integers(-3, 4, n).astype(float), r.integers(-3, 4, n).astype(float)
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            return
+        assert pbc(x, y, max_lag) == pbc_every_lag(x, y, max_lag)
+        assert pbc(y, x, max_lag) == pbc_every_lag(y, x, max_lag)
+
+    def test_screen_error_within_bound(self, rng):
+        ts = make_ts(rng.standard_normal((6000, 2)))
+        f = bandpass(ts, BANDS["alpha"])
+        c, delta = _screen(f[:, 0], f[:, 1], 50)
+        exact = [_corr_at_lag(f[:, 0], f[:, 1], lag) for lag in range(-50, 51)]
+        assert np.all(np.abs(c - exact) <= delta)
+        assert np.all(delta < 1e-6)  # tight enough to leave about one candidate
 
 
 class TestRegionPbc:

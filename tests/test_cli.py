@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nvcoh.baselines import region_pbc
 from nvcoh.cli import (
     DEFAULT_ROIS,
     EXIT_DATA,
@@ -24,6 +25,8 @@ from nvcoh.cli import (
     main,
 )
 from nvcoh.simulation import DEFAULT_MODULUS, gen_case
+from nvcoh.spectral import CANONICAL_BANDS
+from nvcoh.tables import write_csv as write_table
 
 
 def write_csv(path, labels, data):
@@ -350,6 +353,27 @@ class TestBaselineCommand:
         assert len(rbp_rows) == 10  # two regions, five bands
         assert all(0 <= float(r["pbc"]) <= 1 for r in pbc_rows)
 
+    def test_pbc_equals_filtering_region_by_region(self, tmp_path, rng):
+        # the command filters each channel once per band; the bytes must equal
+        # filtering each region of each pair on its own
+        rec = tmp_path / "rec.csv"
+        write_csv(rec, ["a", "b", "c", "d", "e"], rng.standard_normal((3000, 5)))
+        regions = {"RA": ["d"], "RB": ["b", "e"], "RC": ["c", "a"]}
+        pairs = [["RC", "RA"], ["RA", "RB"], ["RB", "RC"]]
+        reg = tmp_path / "regions.json"
+        write_regions(reg, regions, pairs)
+        out = tmp_path / "out"
+        assert main(["baseline", "--input", str(rec), "--regions", str(reg),
+                     "--fs", "100", "--max-lag", "20", "--discard-secs", "0",
+                     "--no-standardize", "--out-dir", str(out)]) == EXIT_OK
+        ts = ingest_csv(rec, 100.0)
+        want = tmp_path / "want.csv"
+        write_table(want, ("pair", "band", "pbc"), [
+            (f"{a}-{b}", band.name, region_pbc(ts.select(regions[a]),
+                                               ts.select(regions[b]), band, max_lag=20))
+            for a, b in pairs for band in CANONICAL_BANDS])
+        assert (out / "pbc.csv").read_bytes() == want.read_bytes()
+
     def test_duplicated_region_pbc_one(self, tmp_path, rng):
         base = rng.standard_normal(4000)
         rec = tmp_path / "rec.csv"
@@ -474,6 +498,9 @@ class TestParameterBoundary:
         (["baseline", "--input", "520", "--max-lag", "0"], EXIT_DATA),
         # each value is finite, the sample count is not
         (["simulate", "--cases", "1", "--n-secs", "1e200", "--fs", "1e200",
+          "--reps", "10"], EXIT_USAGE),
+        # finite, but every replicate fails to allocate it
+        (["simulate", "--cases", "1", "--n-secs", "1e15", "--fs", "100",
           "--reps", "10"], EXIT_USAGE),
     ])
     def test_exit_code_and_one_line(self, argv, code, two_region_recording,

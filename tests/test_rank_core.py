@@ -59,6 +59,8 @@ class TestNearestNeighbors:
         v = rng.standard_normal((50, 2))
         nn = nearest_neighbors(v, seed=3)
         assert not np.any(nn.n_of == np.arange(50))
+        # every square overflows: all other rows tie at inf, the row itself never
+        assert nearest_neighbors([0.0, 1e200, 2e200], seed=0).n_of.tolist() == [2, 2, 1]
 
     def test_deterministic_for_seed(self, rng):
         v = np.repeat(rng.standard_normal((10, 3)), 2, axis=0)
@@ -125,6 +127,18 @@ class TestNearestNeighbors:
         v = np.random.default_rng(n).integers(0, 4, size=(n, 8)) * 0.1
         got = nearest_neighbors(np.asfortranarray(v), seed=3).n_of
         assert np.array_equal(got, brute_force_neighbors(v, seed=3))
+
+    @pytest.mark.parametrize("n", [3, 40, rank_core._EXHAUSTIVE_MAX_N + 20])
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_overflowing_squares_match_brute_force(self, n, d):
+        # squares that overflow are inf and tie with each other, never with the
+        # row's own inf diagonal: matrix scan, sorted scan and k-d tree alike
+        r = np.random.default_rng(n * d)
+        scale = 10.0 ** r.choice([0, 150, 160, 200, 307], size=(n, 1))
+        v = r.standard_normal((n, d)) * scale
+        for seed in range(3):
+            want = brute_force_neighbors(v, seed=seed)
+            assert np.array_equal(nearest_neighbors(v, seed=seed).n_of, want)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
