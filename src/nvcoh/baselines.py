@@ -12,8 +12,10 @@ computed on its own overlapping samples.  `pbc` screens every lag in one pass
 samples), bounds the screen's distance to `_corr_at_lag` by a stated δ, and
 evaluates `_corr_at_lag` only at the lags that can hold the maximum; inputs on
 which the bound does not hold (non-finite, extreme magnitudes, a window whose
-variance or offset swamps the rounding) evaluate every lag.  The result equals
-the all-lag evaluation bit for bit.  `sosfiltfilt` filters each column on its
+variance or offset swamps the rounding) evaluate every lag.  δ's FFT term
+rests on an assumed error constant (see `_screen`); while δ bounds the
+screen's error, the result equals the all-lag evaluation bit for bit.
+`sosfiltfilt` filters each column on its
 own, so `pbc_table` filters all region channels once per band, in one call,
 and takes each region's columns from that array; the values equal filtering
 region by region for every pair.
@@ -114,9 +116,13 @@ def _screen(x: np.ndarray, y: np.ndarray, max_lag: int):
     Rounding (Higham, *Accuracy and Stability*, ch. 3 and 24, every sum of k
     terms within γ_k of the sum of magnitudes, in any order):
     |ΔS_x| <= g Σ|x0|, |ΔS_xx| <= g Q and, as m >= n / 2, |Δv_x| <= D_x = 8 g Q.
-    A length-L FFT has relative 2-norm error ε_F, taken as 10 u log2(L)
-    (radix-2 analysis: 6.7 u per stage); through the product and the inverse,
-    |ΔS_xy| <= E = 4 (ε_F + u) sqrt(L) N N', so |Δcov| <= D_c = E + 8 g N N'.
+    A length-L FFT has relative 2-norm error ε_F.  Its value is assumed, not
+    derived: a radix-2 analysis gives about 6.7 u per stage, but
+    `next_fast_len` lengths also have factors 3 and 5, whose butterflies that
+    analysis does not cover.  ε_F is taken as 10 u log2(L); on the tested
+    inputs the screen's error stayed below 6e-4 δ.  Through the product and
+    the inverse, |ΔS_xy| <= E = 4 (ε_F + u) sqrt(L) N N', so
+    |Δcov| <= D_c = E + 8 g N N'.
     With v_lo = v_x - D_x (v_x > 3 D_x gives r_x = D_x / v_lo <= 1/2):
 
         |c - c_0| <= D_c / sqrt(v_lo v'_lo) + (1.5 (r_x + r_y) + 4 u) |c|,
@@ -132,11 +138,12 @@ def _screen(x: np.ndarray, y: np.ndarray, max_lag: int):
         δ = D_c / sqrt(v_lo v'_lo) + (1.5 (r_x + r_y) + 4 u) |c|
             + π (2 u N / s + 2 u N' / s' + ρ_x + ρ_y) / 2 + 3 g
 
-    bounds |c - `_corr_at_lag`|.  None (every lag evaluated) unless each input
-    is finite with max|x| <= 2**400 and N >= 2**-400, where products neither
-    overflow nor lose relative accuracy to underflow, and every window has
-    v_x > 3 D_x and ρ_x <= 1/2 (and likewise for y): a variance within the
-    bound of zero, or an offset that swamps the exact path's centring.
+    bounds |c - `_corr_at_lag`| if ε_F holds.  None (every lag evaluated)
+    unless each input is finite with max|x| <= 2**400 and N >= 2**-400, where
+    products neither overflow nor lose relative accuracy to underflow, and
+    every window has v_x > 3 D_x and ρ_x <= 1/2 (and likewise for y): a
+    variance within the bound of zero, or an offset that swamps the exact
+    path's centring.
     """
     n = x.size
     u = np.finfo(np.float64).eps / 2
@@ -183,9 +190,10 @@ def pbc(x, y, max_lag: int = DEFAULT_MAX_LAG) -> float:
     the result is exactly symmetric in its arguments and bounded to [0, 1].
 
     `_screen` gives every lag's correlation c with a bound δ on its distance
-    to `_corr_at_lag` (derivation there).  The lag with the largest exact |c|
-    satisfies |c| + δ >= max(|c| - δ), so `_corr_at_lag` runs only at lags that
-    do, and the result equals evaluating every lag bit for bit.  Where the
+    to `_corr_at_lag` (derivation there; its FFT error constant is assumed).
+    The lag with the largest exact |c| satisfies |c| + δ >= max(|c| - δ), so
+    `_corr_at_lag` runs only at lags that do; while δ bounds the screen's
+    error, the result equals evaluating every lag bit for bit.  Where the
     bound does not hold, every lag is evaluated.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -227,8 +235,7 @@ def pbc_matrix(x: TimeSeriesMatrix, y: TimeSeriesMatrix, band: FrequencyBand,
 
 
 def pbc_table(ts: TimeSeriesMatrix, regions, pairs, bands,
-              max_lag: int = DEFAULT_MAX_LAG,
-              order: int = DEFAULT_FILTER_ORDER) -> np.ndarray:
+              max_lag: int = DEFAULT_MAX_LAG) -> np.ndarray:
     """`region_pbc` of every region pair (rows) in every band (columns).
 
     ``regions`` maps region names to channel labels of ``ts``.  Each band
@@ -239,7 +246,7 @@ def pbc_table(ts: TimeSeriesMatrix, regions, pairs, bands,
     col = {ch: i for i, ch in enumerate(channels)}
     out = np.empty((len(pairs), len(bands)))
     for k, band in enumerate(bands):
-        f = bandpass(ts.select(channels), band, order=order)
+        f = bandpass(ts.select(channels), band)
         for p, (a, b) in enumerate(pairs):
             out[p, k] = _pbc_pairs(f[:, [col[ch] for ch in regions[a]]],
                                    f[:, [col[ch] for ch in regions[b]]], max_lag).mean()

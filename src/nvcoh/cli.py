@@ -422,7 +422,7 @@ def cmd_simulate(args) -> int:
                            alpha=args.alpha, seed=args.seed, fs=args.fs,
                            measure=args.measure, null_reps=args.null_reps,
                            modulus=args.modulus, workers=args.threads)
-    except ValueError as exc:  # settings refused up front, or failing every replicate
+    except ValueError as exc:  # settings refused up front, or too large for memory
         raise UsageError(str(exc)) from None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

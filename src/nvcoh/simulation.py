@@ -287,7 +287,8 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
     run in parallel since each owns a derived seed.
 
     Settings that `check_study` rejects, and a cell whose every replicate
-    fails (say, a sample count too large to allocate), raise ValueError.
+    runs out of memory (a sample count too large to allocate), raise
+    ValueError; other failures above 1% of a cell raise RuntimeError.
     """
     if replicates < 10:
         raise ValueError("need at least 10 replicates")
@@ -314,7 +315,7 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
                 results = pool.map(_replicate, tasks, chunksize=8) if pool \
                     else map(_replicate, tasks)
                 estimates = np.full((replicates, freqs_hz.size), np.nan)
-                cell_failures = 0
+                cell_failures = out_of_memory = 0
                 for idx, est, err, notes in results:
                     for note in notes:
                         if note not in warned:
@@ -324,10 +325,12 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
                         estimates[idx] = est
                     else:
                         cell_failures += 1
+                        out_of_memory += err.startswith("MemoryError:")
                         failures.append(f"case={case_id} n_sec={n_sec} rep={idx}: {err}")
-                if cell_failures == replicates:  # the settings, not the data
+                if out_of_memory == replicates:
                     raise ValueError(
-                        f"every replicate failed for case={case_id}, n_sec={n_sec}: {err}")
+                        f"every replicate ran out of memory for case={case_id}, "
+                        f"n_sec={n_sec}: {err}")
                 if cell_failures > 0.01 * replicates:
                     raise RuntimeError(
                         f"{cell_failures}/{replicates} replicates failed for "

@@ -185,6 +185,18 @@ class TestRunStudy:
         with pytest.raises(RuntimeError, match="replicates failed"):
             run_study(cases=(3,), n_secs=(20,), replicates=12, seed=1, null_reps=100)
 
+    @pytest.mark.parametrize("error, raised", [
+        (MemoryError("Unable to allocate 711. PiB"), ValueError),  # the settings
+        (TypeError("synthetic bug"), RuntimeError),  # keeps its traceback
+    ], ids=["out-of-memory", "other"])
+    def test_cell_failing_every_replicate(self, error, raised, monkeypatch):
+        def failing(case_id, n_sec, fs=100.0, seed=0, modulus=sim.DEFAULT_MODULUS):
+            raise error
+
+        monkeypatch.setattr(sim, "gen_case", failing)
+        with pytest.raises(raised, match=type(error).__name__):
+            run_study(cases=(3,), n_secs=(20,), replicates=10, seed=1, null_reps=10)
+
     def test_csv_round_trip(self, small_report, tmp_path):
         path = tmp_path / "report.csv"
         small_report.write_csv(path)
