@@ -11,7 +11,7 @@ computed on its own overlapping samples.  `pbc` screens every lag in one pass
 (cross products by one FFT, window moments from the sums of the dropped end
 samples), bounds the screen's distance to `_corr_at_lag` by a stated δ, and
 evaluates `_corr_at_lag` only at the lags that can hold the maximum; inputs on
-which the bound does not hold (non-finite, extreme magnitudes, a window whose
+which the bound does not hold (extreme magnitudes, a window whose
 variance or offset swamps the rounding) evaluate every lag.  δ's FFT term
 rests on an assumed error constant (see `_screen`); while δ bounds the
 screen's error, the result equals the all-lag evaluation bit for bit.
@@ -50,8 +50,7 @@ DEFAULT_FILTER_ORDER = 4
 DEFAULT_MAX_LAG = 50
 
 
-def bandpass(ts: TimeSeriesMatrix, band: FrequencyBand,
-             order: int = DEFAULT_FILTER_ORDER) -> np.ndarray:
+def bandpass(ts: TimeSeriesMatrix, band: FrequencyBand) -> np.ndarray:
     """Zero-phase (forward-backward) Butterworth band-pass of every channel.
 
     The two-pass application doubles the effective order and cancels the
@@ -61,7 +60,7 @@ def bandpass(ts: TimeSeriesMatrix, band: FrequencyBand,
     if not (0 < band.lo_hz < band.hi_hz < nyq):
         raise ValueError(
             f"band ({band.lo_hz}, {band.hi_hz}] must lie strictly inside (0, {nyq})")
-    sos = signal.butter(order, [band.lo_hz, band.hi_hz], btype="bandpass",
+    sos = signal.butter(DEFAULT_FILTER_ORDER, [band.lo_hz, band.hi_hz], btype="bandpass",
                         fs=ts.fs, output="sos")
     return signal.sosfiltfilt(sos, ts.data, axis=0)
 
@@ -139,7 +138,7 @@ def _screen(x: np.ndarray, y: np.ndarray, max_lag: int):
             + π (2 u N / s + 2 u N' / s' + ρ_x + ρ_y) / 2 + 3 g
 
     bounds |c - `_corr_at_lag`| if ε_F holds.  None (every lag evaluated)
-    unless each input is finite with max|x| <= 2**400 and N >= 2**-400, where
+    unless each input has max|x| <= 2**400 and N >= 2**-400, where
     products neither overflow nor lose relative accuracy to underflow, and
     every window has v_x > 3 D_x and ρ_x <= 1/2 (and likewise for y): a
     variance within the bound of zero, or an offset that swamps the exact
@@ -149,7 +148,7 @@ def _screen(x: np.ndarray, y: np.ndarray, max_lag: int):
     u = np.finfo(np.float64).eps / 2
     g = 2 * n * u / (1 - 2 * n * u)
     mx, my = np.abs(x).max(), np.abs(y).max()
-    if not max(mx, my) <= 2.0 ** 400:  # also false for nan
+    if max(mx, my) > 2.0 ** 400:
         return None
     x0 = x - x.mean()
     y0 = y - y.mean()
@@ -194,7 +193,8 @@ def pbc(x, y, max_lag: int = DEFAULT_MAX_LAG) -> float:
     The lag with the largest exact |c| satisfies |c| + δ >= max(|c| - δ), so
     `_corr_at_lag` runs only at lags that do; while δ bounds the screen's
     error, the result equals evaluating every lag bit for bit.  Where the
-    bound does not hold, every lag is evaluated.
+    bound does not hold, every lag is evaluated.  A NaN or infinite sample,
+    like a constant channel, is a ValueError.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -203,8 +203,13 @@ def pbc(x, y, max_lag: int = DEFAULT_MAX_LAG) -> float:
     if x.size < min_samples(max_lag):
         raise ValueError(
             f"need at least {min_samples(max_lag)} samples for max_lag={max_lag}")
-    if np.ptp(x) == 0 or np.ptp(y) == 0:
-        raise ValueError("zero-variance input")
+    for v in (x, y):
+        spread = np.ptp(v)
+        # a non-finite spread means a non-finite sample or an overflowing max - min
+        if not np.isfinite(spread) and not np.isfinite(v).all():
+            raise ValueError("non-finite input")
+        if spread == 0:
+            raise ValueError("zero-variance input")
     lags = range(-max_lag, max_lag + 1)
     screened = _screen(x, y, max_lag)
     if screened is not None:
@@ -227,11 +232,9 @@ def _pbc_pairs(fx: np.ndarray, fy: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def pbc_matrix(x: TimeSeriesMatrix, y: TimeSeriesMatrix, band: FrequencyBand,
-               max_lag: int = DEFAULT_MAX_LAG,
-               order: int = DEFAULT_FILTER_ORDER) -> np.ndarray:
+               max_lag: int = DEFAULT_MAX_LAG) -> np.ndarray:
     """PBC of every cross-region channel pair on band-filtered data."""
-    return _pbc_pairs(bandpass(x, band, order=order), bandpass(y, band, order=order),
-                      max_lag)
+    return _pbc_pairs(bandpass(x, band), bandpass(y, band), max_lag)
 
 
 def pbc_table(ts: TimeSeriesMatrix, regions, pairs, bands,
@@ -255,10 +258,9 @@ def pbc_table(ts: TimeSeriesMatrix, regions, pairs, bands,
 
 
 def region_pbc(x: TimeSeriesMatrix, y: TimeSeriesMatrix, band: FrequencyBand,
-               max_lag: int = DEFAULT_MAX_LAG,
-               order: int = DEFAULT_FILTER_ORDER) -> float:
+               max_lag: int = DEFAULT_MAX_LAG) -> float:
     """Arithmetic mean of PBC over all cross-region channel pairs."""
-    return float(pbc_matrix(x, y, band, max_lag=max_lag, order=order).mean())
+    return float(pbc_matrix(x, y, band, max_lag=max_lag).mean())
 
 
 def rbp(ts: TimeSeriesMatrix, channel: str, band: FrequencyBand,

@@ -1,7 +1,8 @@
 """Batch command line: ingest, analyze, baseline, compare, simulate, null-dist.
 
-Every command writes a manifest recording the parameters and seeds that fully
-determine its outputs; re-running a command with the same inputs and seed
+Every command writes a manifest recording every flag of the command and the
+seed, which fully determine its outputs: the file flags under "inputs", the
+rest under "params".  Re-running a command with the same inputs and seed
 reproduces every output file byte for byte.  Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical degeneracy.
 """
@@ -15,7 +16,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from .tables import write_csv as _write_csv
 from .tables import write_json as _write_json
 from .vector_measure import _default_plan
 
-__all__ = ["DataError", "RegionConfig", "RunManifest", "ingest_csv", "main"]
+__all__ = ["DataError", "RegionConfig", "ingest_csv", "main"]
 
 SEED_ENV_VAR = "NVC_SEED"
 
@@ -129,22 +130,6 @@ def load_region_config(path) -> RegionConfig:
                         pairs=tuple((str(a), str(b)) for a, b in pairs))
 
 
-@dataclass
-class RunManifest:
-    """Everything that determines a run: inputs, parameters, seeds, version."""
-
-    command: str
-    inputs: dict
-    params: dict
-    seed: int
-    tool: str = "nvcoh"
-    version: str = __version__
-    stats: dict = field(default_factory=dict)
-
-    def write(self, path) -> None:
-        _write_json(path, asdict(self))
-
-
 def ingest_csv(path, fs: float) -> TimeSeriesMatrix:
     """Load a samples-by-channels CSV with a channel-label header row.
 
@@ -184,7 +169,8 @@ def _reject_constant(data: np.ndarray, labels, why: str) -> None:
         raise DegenerateRanksError(f"constant channel(s) {flat} {why}")
 
 
-def _parse_bands(spec: str | None) -> tuple[FrequencyBand, ...]:
+def _parse_bands(spec: str | None, freqs: np.ndarray) -> tuple[FrequencyBand, ...]:
+    """Bands of ``--bands``, canonical if unset; a band holding no ``freqs`` is refused."""
     if not spec:
         return CANONICAL_BANDS
     bands = []
@@ -193,9 +179,12 @@ def _parse_bands(spec: str | None) -> tuple[FrequencyBand, ...]:
         if len(bits) != 3:
             raise UsageError(f"band {part!r} is not name:lo:hi")
         try:
-            bands.append(FrequencyBand(bits[0], float(bits[1]), float(bits[2])))
+            band = FrequencyBand(bits[0], float(bits[1]), float(bits[2]))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        if not band.mask(freqs).any():
+            raise UsageError(f"band {band.name} contains no retained frequency")
+        bands.append(band)
     return tuple(bands)
 
 
@@ -225,19 +214,18 @@ def _profile_worker(args):
 def cmd_analyze(args) -> int:
     ts, config = _load_recording(args, 2 * args.block_len,
                                  f"two blocks of {args.block_len}")
-    bands = _parse_bands(args.bands)
+    freqs = retained_indices(args.block_len) * ts.fs / args.block_len
+    bands = _parse_bands(args.bands, freqs)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed
     n_blocks = ts.n_samples // args.block_len
-    freqs = retained_indices(args.block_len) * ts.fs / args.block_len
 
     tasks = []
     for a, b in config.pairs:
         x = ts.select(config.regions[a])
         y = ts.select(config.regions[b])
         tasks.append((f"{a}-{b}", x.data, y.data, ts.fs, args.block_len,
-                      args.measure, args.q_perms, seed))
+                      args.measure, args.q_perms, args.seed))
 
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
@@ -256,7 +244,7 @@ def cmd_analyze(args) -> int:
         if key not in ensembles:
             ensembles[key] = null_ensemble(
                 *key, n_reps=args.null_reps,
-                seed=derive_seed(seed, "null", *key, args.null_reps))
+                seed=derive_seed(args.seed, "null", *key, args.null_reps))
         ensemble = ensembles[key]
         praw = p_values(estimates, ensemble)
         per_pair.append((pair_name, estimates, praw, meta, ensemble))
@@ -304,20 +292,9 @@ def cmd_analyze(args) -> int:
 
     _write_csv(out / "profiles.csv",
                ("pair", "band", "freq_hz", "estimate", "p_raw", "p_adj"), csv_rows)
-    manifest = RunManifest(
-        command="analyze",
-        inputs={"recording": str(args.input),
-                "regions": str(args.regions) if args.regions else "builtin"},
-        params={"fs": args.fs, "block_len": args.block_len,
-                "bands": args.bands or "canonical", "measure": args.measure,
-                "q_perms": args.q_perms, "null_reps": args.null_reps,
-                "alpha": args.alpha, "discard_secs": args.discard_secs,
-                "standardize": args.standardize, "threads": args.threads,
-                "pairs": ["-".join(p) for p in config.pairs]},
-        seed=seed,
-        stats={"n_blocks": n_blocks, "null_ensemble_builds": len(ensembles)},
-    )
-    manifest.write(out / "manifest.json")
+    _write_manifest(args, out,
+                    stats={"n_blocks": n_blocks, "null_ensemble_builds": len(ensembles)},
+                    pairs=["-".join(p) for p in config.pairs])
     return EXIT_OK
 
 
@@ -328,7 +305,8 @@ def cmd_baseline(args) -> int:
     channels = [ch for name in sorted(config.regions) for ch in config.regions[name]]
     _reject_constant(ts.select(channels).data, channels,
                      "have no band power to compare")
-    bands = _parse_bands(args.bands)
+    bands = _parse_bands(args.bands,
+                         retained_indices(args.block_len) * ts.fs / args.block_len)
     nyquist = ts.fs / 2
     for band in bands:
         if band.lo_hz <= 0 or band.hi_hz >= nyquist:
@@ -353,17 +331,7 @@ def cmd_baseline(args) -> int:
         "pbc": [{"pair": p, "band": b, "value": v} for p, b, v in pbc_rows],
         "rbp": [{"region": r, "band": b, "value": v} for r, b, v in rbp_rows],
     })
-    manifest = RunManifest(
-        command="baseline",
-        inputs={"recording": str(args.input),
-                "regions": str(args.regions) if args.regions else "builtin"},
-        params={"fs": args.fs, "bands": args.bands or "canonical",
-                "max_lag": args.max_lag, "block_len": args.block_len,
-                "discard_secs": args.discard_secs, "standardize": args.standardize,
-                "pairs": ["-".join(p) for p in config.pairs]},
-        seed=args.seed,
-    )
-    manifest.write(out / "manifest.json")
+    _write_manifest(args, out, pairs=["-".join(p) for p in config.pairs])
     return EXIT_OK
 
 
@@ -404,14 +372,7 @@ def cmd_compare(args) -> int:
         "family_size": len(rows),
         "alpha": args.alpha,
     })
-    manifest = RunManifest(
-        command="compare",
-        inputs={"cohort_a": str(args.cohort_a), "cohort_b": str(args.cohort_b)},
-        params={"group_perms": args.group_perms, "alpha": args.alpha,
-                "family_size": len(rows)},
-        seed=args.seed,
-    )
-    manifest.write(out / "manifest.json")
+    _write_manifest(args, out, family_size=len(rows))
     return EXIT_OK
 
 
@@ -428,17 +389,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "report.csv")
     report.write_json(out / "report.json")
-    manifest = RunManifest(
-        command="simulate",
-        inputs={},
-        params={"cases": list(args.cases), "n_secs": list(args.n_secs),
-                "reps": args.reps, "block_len": args.block_len,
-                "alpha": args.alpha, "fs": args.fs, "measure": args.measure,
-                "null_reps": args.null_reps, "modulus": args.modulus,
-                "threads": args.threads},
-        seed=args.seed,
-    )
-    manifest.write(out / "manifest.json")
+    _write_manifest(args, out)
     return EXIT_OK
 
 
@@ -456,13 +407,7 @@ def cmd_null_dist(args) -> int:
                       "q95": float(np.quantile(ensemble.reps, 0.95)),
                       "q99": float(np.quantile(ensemble.reps, 0.99))},
     })
-    manifest = RunManifest(
-        command="null-dist",
-        inputs={},
-        params={"n_blocks": args.n_blocks, "q": args.q, "null_reps": args.null_reps},
-        seed=args.seed,
-    )
-    manifest.write(out / "manifest.json")
+    _write_manifest(args, out)
     return EXIT_OK
 
 
@@ -482,105 +427,99 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-# parsed attribute -> (test its value must pass, rule quoted when it fails);
-# each command checks the attributes it has
-_ARG_RULES = {
-    "seed": (lambda v: v >= 0, "a non-negative integer"),
-    "fs": (lambda v: 0 < v < math.inf, "a positive number"),
-    "block_len": (lambda v: v >= 4, "at least 4"),
-    "q_perms": (lambda v: v is None or v >= 1, "at least 1"),
-    "null_reps": (lambda v: v >= 1, "at least 1"),
-    "alpha": (lambda v: 0 < v < 1, "inside (0, 1)"),
-    "discard_secs": (lambda v: 0 <= v < math.inf, "a non-negative number"),
-    "threads": (lambda v: v >= 1, "at least 1"),
-    "max_lag": (lambda v: v >= 0, "at least 0"),
-    "group_perms": (lambda v: v >= 1, "at least 1"),
-    "cases": (lambda v: set(v) <= set(CASES), f"among {sorted(CASES)}"),
-    "n_secs": (lambda v: all(10 <= s < math.inf for s in v), "at least 10 each"),
-    "reps": (lambda v: v >= 10, "at least 10"),
-    "modulus": (lambda v: 0 < v < 1, "inside (0, 1)"),
-    "n_blocks": (lambda v: v >= 2, "at least 2"),
-    "q": (lambda v: v >= 1, "at least 1"),
+# flag -> (argparse keywords, (test its value must pass, rule quoted when it
+# fails) or None).  Rules run in this order, seed first, and the first failing
+# flag of the command is the one named.
+_FLAGS: dict[str, tuple[dict, tuple | None]] = {
+    "seed": (dict(type=int, help=f"master seed (default: ${SEED_ENV_VAR} or 0)"),
+             (lambda v: v >= 0, "a non-negative integer")),
+    "fs": (dict(type=float, default=100.0),
+           (lambda v: 0 < v < math.inf, "a positive number")),
+    "block_len": (dict(type=int, default=100), (lambda v: v >= 4, "at least 4")),
+    "q_perms": (dict(type=int, help="orderings per side (default exhaustive up to 24)"),
+                (lambda v: v is None or v >= 1, "at least 1")),
+    "null_reps": (dict(type=int, default=DEFAULT_NULL_REPS),
+                  (lambda v: v >= 1, "at least 1")),
+    "alpha": (dict(type=float, default=0.05), (lambda v: 0 < v < 1, "inside (0, 1)")),
+    "discard_secs": (dict(type=float, default=5.0),
+                     (lambda v: 0 <= v < math.inf, "a non-negative number")),
+    "threads": (dict(type=int, default=1), (lambda v: v >= 1, "at least 1")),
+    "max_lag": (dict(type=int, default=DEFAULT_MAX_LAG), (lambda v: v >= 0, "at least 0")),
+    "group_perms": (dict(type=int, default=DEFAULT_GROUP_PERMS),
+                    (lambda v: v >= 1, "at least 1")),
+    "cases": (dict(type=int, nargs="+", default=(1, 2, 3, 4, 5)),
+              (lambda v: set(v) <= set(CASES), f"among {sorted(CASES)}")),
+    "n_secs": (dict(type=float, nargs="+", default=(50, 100, 200)),
+               (lambda v: all(10 <= s < math.inf for s in v), "at least 10 each")),
+    "reps": (dict(type=int, default=200), (lambda v: v >= 10, "at least 10")),
+    "modulus": (dict(type=float, default=DEFAULT_MODULUS),
+                (lambda v: 0 < v < 1, "inside (0, 1)")),
+    "n_blocks": (dict(type=int, required=True), (lambda v: v >= 2, "at least 2")),
+    "q": (dict(type=int, required=True), (lambda v: v >= 1, "at least 1")),
+    "input": (dict(required=True, help="samples-by-channels CSV"), None),
+    "regions": (dict(help="region config JSON"), None),
+    "bands": (dict(help="name:lo:hi,... (default canonical)"), None),
+    "measure": (dict(choices=("t", "tbar", "tstar"), default="tstar"), None),
+    "standardize": (dict(action=argparse.BooleanOptionalAction, default=True), None),
+    "cohort_a": (dict(required=True, help="feature CSV, one row per subject"), None),
+    "cohort_b": (dict(required=True), None),
+    "out_dir": (dict(required=True, help="output directory"), None),
 }
+
+# command -> (function, help line, flags in --help order); every command also
+# takes --seed and --out-dir
+_COMMANDS = {
+    "analyze": (cmd_analyze, "per region-pair spectral dependence profiles",
+                ("input", "regions", "fs", "block_len", "bands", "measure", "q_perms",
+                 "null_reps", "alpha", "discard_secs", "standardize", "threads")),
+    "baseline": (cmd_baseline, "pairwise band coherence and relative band power",
+                 ("input", "regions", "fs", "bands", "max_lag", "block_len",
+                  "discard_secs", "standardize")),
+    "compare": (cmd_compare, "two-cohort permutation comparison of features",
+                ("cohort_a", "cohort_b", "group_perms", "alpha")),
+    "simulate": (cmd_simulate, "Monte Carlo study over the dependence cases",
+                 ("cases", "n_secs", "reps", "block_len", "alpha", "fs", "measure",
+                  "null_reps", "modulus", "threads")),
+    "null-dist": (cmd_null_dist, "emit a permutation-of-ranks null ensemble",
+                  ("n_blocks", "q", "null_reps")),
+}
+
+# manifest.json lists the file flags under "inputs", --input as "recording",
+# and names what an unset --regions or --bands stands for
+_FILE_FLAGS = ("input", "regions", "cohort_a", "cohort_b")
+_UNSET = {"regions": "builtin", "bands": "canonical"}
+
+
+def _write_manifest(args, out: Path, stats=None, **extra) -> None:
+    """Write ``manifest.json``: every flag of the command, its ``extra`` values."""
+    flags = {name: getattr(args, name) for name in _COMMANDS[args.command][2]}
+    flags.update({k: flags[k] or v for k, v in _UNSET.items() if k in flags})
+    inputs = {"recording" if name == "input" else name: flags.pop(name)
+              for name in _FILE_FLAGS if name in flags}
+    _write_json(out / "manifest.json", {
+        "command": args.command, "inputs": inputs, "params": {**flags, **extra},
+        "seed": args.seed, "tool": "nvcoh", "version": __version__, "stats": stats or {}})
 
 
 def _check_args(args) -> None:
     """Reject parameter values no command can run with, naming the flag."""
-    for name, (ok, rule) in _ARG_RULES.items():
-        if hasattr(args, name) and not ok(getattr(args, name)):
+    for name, (_, rule) in _FLAGS.items():
+        if rule is not None and hasattr(args, name) and not rule[0](getattr(args, name)):
             flag = "--" + name.replace("_", "-")
-            raise UsageError(f"{flag} must be {rule}, got {getattr(args, name)}")
-
-
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    p.add_argument("--out-dir", required=True, help="output directory")
+            raise UsageError(f"{flag} must be {rule[1]}, got {getattr(args, name)}")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nvc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nvcoh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="per region-pair spectral dependence profiles")
-    pa.add_argument("--input", required=True, help="samples-by-channels CSV")
-    pa.add_argument("--regions", default=None, help="region config JSON")
-    pa.add_argument("--fs", type=float, default=100.0)
-    pa.add_argument("--block-len", type=int, default=100)
-    pa.add_argument("--bands", default=None, help="name:lo:hi,... (default canonical)")
-    pa.add_argument("--measure", choices=("t", "tbar", "tstar"), default="tstar")
-    pa.add_argument("--q-perms", type=int, default=None,
-                    help="orderings per side (default exhaustive up to 24)")
-    pa.add_argument("--null-reps", type=int, default=DEFAULT_NULL_REPS)
-    pa.add_argument("--alpha", type=float, default=0.05)
-    pa.add_argument("--discard-secs", type=float, default=5.0)
-    pa.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=True)
-    pa.add_argument("--threads", type=int, default=1)
-    _add_common(pa)
-    pa.set_defaults(func=cmd_analyze)
-
-    pb = sub.add_parser("baseline", help="pairwise band coherence and relative band power")
-    pb.add_argument("--input", required=True)
-    pb.add_argument("--regions", default=None)
-    pb.add_argument("--fs", type=float, default=100.0)
-    pb.add_argument("--bands", default=None)
-    pb.add_argument("--max-lag", type=int, default=DEFAULT_MAX_LAG)
-    pb.add_argument("--block-len", type=int, default=100)
-    pb.add_argument("--discard-secs", type=float, default=5.0)
-    pb.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=True)
-    _add_common(pb)
-    pb.set_defaults(func=cmd_baseline)
-
-    pc = sub.add_parser("compare", help="two-cohort permutation comparison of features")
-    pc.add_argument("--cohort-a", required=True, help="feature CSV, one row per subject")
-    pc.add_argument("--cohort-b", required=True)
-    pc.add_argument("--group-perms", type=int, default=DEFAULT_GROUP_PERMS)
-    pc.add_argument("--alpha", type=float, default=0.05)
-    _add_common(pc)
-    pc.set_defaults(func=cmd_compare)
-
-    ps = sub.add_parser("simulate", help="Monte Carlo study over the dependence cases")
-    ps.add_argument("--cases", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    ps.add_argument("--n-secs", type=float, nargs="+", default=[50, 100, 200])
-    ps.add_argument("--reps", type=int, default=200)
-    ps.add_argument("--block-len", type=int, default=100)
-    ps.add_argument("--alpha", type=float, default=0.05)
-    ps.add_argument("--fs", type=float, default=100.0)
-    ps.add_argument("--measure", choices=("t", "tbar", "tstar"), default="tbar")
-    ps.add_argument("--null-reps", type=int, default=DEFAULT_NULL_REPS)
-    ps.add_argument("--modulus", type=float, default=DEFAULT_MODULUS)
-    ps.add_argument("--threads", type=int, default=1)
-    _add_common(ps)
-    ps.set_defaults(func=cmd_simulate)
-
-    pn = sub.add_parser("null-dist", help="emit a permutation-of-ranks null ensemble")
-    pn.add_argument("--n-blocks", type=int, required=True)
-    pn.add_argument("--q", type=int, required=True)
-    pn.add_argument("--null-reps", type=int, default=DEFAULT_NULL_REPS)
-    _add_common(pn)
-    pn.set_defaults(func=cmd_null_dist)
-
+    for command, (func, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name in (*flags, "seed", "out_dir"):
+            p.add_argument("--" + name.replace("_", "-"), **_FLAGS[name][0])
+        p.set_defaults(func=func)
+    # the one default that differs by command
+    sub.choices["simulate"].set_defaults(measure="tbar")
     return parser
 
 
@@ -603,6 +542,11 @@ def main(argv=None) -> int:
             return args.func(args)
         except (UsageError, EmptyBandError) as exc:
             print(f"nvc: usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except MemoryError as exc:  # e.g. a --null-reps or --q too large to allocate
+            detail = str(exc) and f": {exc}"  # numpy's message names the array size
+            print(f"nvc: usage error: settings too large for memory{detail}",
+                  file=sys.stderr)
             return EXIT_USAGE
         except (DataError, BlockTooLongError) as exc:
             print(f"nvc: data error: {exc}", file=sys.stderr)

@@ -143,19 +143,19 @@ def _standardize(z: np.ndarray) -> np.ndarray:
     return (z - z.mean()) / z.std()
 
 
-def gen_latent(spec: LatentOscillatorSpec, seed: int = 0,
-               burn_in: int = BURN_IN) -> np.ndarray:
+def gen_latent(spec: LatentOscillatorSpec, seed: int = 0) -> np.ndarray:
     """Standardised realisation of the peaked second-order autoregression.
 
     ``z[t] = 2 M cos(2 pi f/fs) z[t-1] - M^2 z[t-2] + w[t]`` with standard
-    normal innovations; the burn-in is discarded before standardising.
+    normal innovations; the first ``BURN_IN`` samples are discarded before
+    standardising.
     """
     theta = 2.0 * math.pi * spec.peak_hz / spec.fs
     phi1 = 2.0 * spec.modulus * math.cos(theta)
     phi2 = -spec.modulus ** 2
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal(spec.n_samples + burn_in)
-    z = sp_signal.lfilter([1.0], [1.0, -phi1, -phi2], w)[burn_in:]
+    w = rng.standard_normal(spec.n_samples + BURN_IN)
+    z = sp_signal.lfilter([1.0], [1.0, -phi1, -phi2], w)[BURN_IN:]
     return _standardize(z)
 
 

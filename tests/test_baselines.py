@@ -122,6 +122,16 @@ class TestPbc:
         with pytest.raises(ValueError):
             pbc(np.ones(2000), rng.standard_normal(2000))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_non_finite_rejected(self, value, swap, rng):
+        x, y = rng.standard_normal((2, 2000))
+        y[10] = value
+        if swap:
+            x, y = y, x
+        with pytest.raises(ValueError, match="non-finite"):
+            pbc(x, y, 10)
+
     def test_length_preconditions(self, rng):
         with pytest.raises(ValueError):
             pbc(rng.standard_normal(50), rng.standard_normal(50), max_lag=50)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nvcoh import cli
 from nvcoh.baselines import region_pbc
 from nvcoh.cli import (
     DEFAULT_ROIS,
@@ -520,6 +521,46 @@ class TestParameterBoundary:
         assert err.startswith("nvc: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analyze", "baseline"])
+    @pytest.mark.parametrize("band", ["x:60:70", "x:0.1:0.5"])
+    def test_band_without_retained_frequency_named(self, command, band,
+                                                   two_region_recording, tmp_path,
+                                                   capsys):
+        # with one-second blocks, x lies above Nyquist or between two grid points
+        rec, reg = two_region_recording
+        out = tmp_path / "out"
+        rc = main([command, "--input", str(rec), "--regions", str(reg),
+                   "--bands", f"a:8:12,{band}", "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "nvc: usage error: band x contains no retained frequency\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["null-dist", "--n-blocks", "10", "--q", "1000000000"],
+        ["analyze", "--measure", "t", "--q-perms", "1", "--null-reps", "1000000000000"],
+    ])
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 29.1 TiB for an array",
+         ": Unable to allocate 29.1 TiB for an array"),
+        ("", ""),
+    ])
+    def test_settings_too_large_for_memory(self, argv, message, shown,
+                                           two_region_recording, tmp_path, capsys,
+                                           monkeypatch):
+        # the callee fails as an allocation it cannot make does, without the
+        # test allocating anything
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "null_ensemble", refuse)
+        rec, reg = two_region_recording
+        if argv[0] == "analyze":
+            argv = argv + ["--input", str(rec), "--regions", str(reg)]
+        rc = main(argv + ["--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"nvc: usage error: settings too large for memory{shown}\n"
+
     def test_simulate_modulus_default_matches_library(self):
         args = build_parser().parse_args(["simulate", "--out-dir", "o"])
         assert args.modulus == DEFAULT_MODULUS
@@ -540,6 +581,50 @@ class TestParameterBoundary:
         assert rc == EXIT_DATA
         assert err.startswith(f"nvc: data error: {left} of {n_samples} samples left")
         assert f"needs at least {need} " in err
+
+
+class TestManifest:
+    """Each manifest records exactly the flags of its command."""
+
+    FILE_FLAGS = {"input": "recording", "regions": "regions",
+                  "cohort_a": "cohort_a", "cohort_b": "cohort_b"}
+
+    @pytest.mark.parametrize("command, argv, extras", [
+        ("analyze", ["--measure", "t", "--q-perms", "1", "--null-reps", "20"],
+         {"pairs"}),
+        ("baseline", ["--max-lag", "5"], {"pairs"}),
+        ("compare", ["--group-perms", "20"], {"family_size"}),
+        ("simulate", ["--cases", "3", "--n-secs", "10", "--reps", "10",
+                      "--null-reps", "20"], set()),
+        ("null-dist", ["--n-blocks", "10", "--q", "1", "--null-reps", "10"], set()),
+    ])
+    def test_params_and_inputs_are_the_command_flags(self, command, argv, extras,
+                                                     two_region_recording, tmp_path):
+        rec, reg = two_region_recording
+        files = {"analyze": ["--input", str(rec), "--regions", str(reg)],
+                 "baseline": ["--input", str(rec), "--regions", str(reg)],
+                 "compare": ["--cohort-a", str(tmp_path / "a.csv"),
+                             "--cohort-b", str(tmp_path / "b.csv")]}.get(command, [])
+        for name in ("a.csv", "b.csv"):
+            write_csv(tmp_path / name, ["f0", "f1"],
+                      np.random.default_rng(0).standard_normal((6, 2)))
+        out = tmp_path / "out"
+        argv = [command, *files, *argv, "--seed", "7", "--out-dir", str(out)]
+        flags = set(vars(build_parser().parse_args(argv))) - {"command", "func"}
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["inputs"]) == {self.FILE_FLAGS[f] for f in
+                                           flags & set(self.FILE_FLAGS)}
+        assert set(manifest["params"]) == \
+            flags - set(self.FILE_FLAGS) - {"seed", "out_dir"} | extras
+        assert manifest["seed"] == 7
+        if "bands" in flags:
+            assert manifest["params"]["bands"] == "canonical"
+        for flag, key in self.FILE_FLAGS.items():
+            if key in manifest["inputs"]:
+                assert manifest["inputs"][key] == argv[argv.index(
+                    "--" + flag.replace("_", "-")) + 1]
 
 
 # --------------------------------------------------------------- argv property
