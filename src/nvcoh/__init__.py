@@ -2,11 +2,17 @@
 multivariate time series, with a permutation-of-ranks independence test,
 classical band-coherence and band-power baselines, and a Monte Carlo
 simulation harness.
+
+The names defined by `baselines` and `simulation`, which import
+`scipy.signal`, load on first access (PEP 562), so that ``import nvcoh``
+needs numpy alone.
 """
 
 __version__ = "0.1.0"
 
-from .baselines import bandpass, pbc, rbp, region_pbc
+import importlib
+
+from .cases import CASES
 from .inference import (
     NullEnsemble,
     TestResult,
@@ -27,7 +33,6 @@ from .rank_core import (
     xi_n,
     xi_null,
 )
-from .simulation import CASES, gen_case, gen_latent, run_study
 from .spectral import (
     CANONICAL_BANDS,
     FrequencyBand,
@@ -36,6 +41,7 @@ from .spectral import (
     band_summary,
     block_periodograms,
     nvc_profile,
+    rbp,
 )
 from .vector_measure import (
     FeatureMatrixPair,
@@ -86,3 +92,19 @@ __all__ = [
     "gen_case",
     "run_study",
 ]
+
+# public name -> the module that defines it, imported on first access
+_LAZY = {"bandpass": "baselines", "pbc": "baselines", "region_pbc": "baselines",
+         "gen_latent": "simulation", "gen_case": "simulation", "run_study": "simulation"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

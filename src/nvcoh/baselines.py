@@ -4,7 +4,8 @@ Pairwise band coherence (PBC) is the maximum squared lagged cross-correlation
 between two band-pass filtered channels; region values average PBC over all
 cross-region channel pairs.  Relative band power (RBP) is the share of a
 channel's block-averaged periodogram power falling inside one band relative
-to the union of the analysed bands.
+to the union of the analysed bands; it needs numpy alone, so it and the
+default lag window are declared in `spectral` and re-exported here.
 
 The result of `pbc` is defined by `_corr_at_lag`, the correlation of each lag
 computed on its own overlapping samples.  `pbc` screens every lag in one pass
@@ -18,7 +19,8 @@ screen's error, the result equals the all-lag evaluation bit for bit.
 `sosfiltfilt` filters each column on its
 own, so `pbc_table` filters all region channels once per band, in one call,
 and takes each region's columns from that array; the values equal filtering
-region by region for every pair.
+region by region for every pair.  `scipy.signal` and `scipy.fft` load with
+this module, which the command line imports only for `nvc baseline`.
 """
 from __future__ import annotations
 
@@ -28,12 +30,12 @@ import numpy as np
 from scipy import fft as sfft
 from scipy import signal
 
-from .spectral import (
-    CANONICAL_BANDS,
-    EmptyBandError,
+from .spectral import (  # noqa: F401  (bench/layers.py wraps block_periodograms here)
+    DEFAULT_MAX_LAG,
     FrequencyBand,
     TimeSeriesMatrix,
     block_periodograms,
+    rbp,
 )
 
 __all__ = [
@@ -47,7 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_FILTER_ORDER = 4
-DEFAULT_MAX_LAG = 50
 
 
 def bandpass(ts: TimeSeriesMatrix, band: FrequencyBand) -> np.ndarray:
@@ -261,28 +262,3 @@ def region_pbc(x: TimeSeriesMatrix, y: TimeSeriesMatrix, band: FrequencyBand,
                max_lag: int = DEFAULT_MAX_LAG) -> float:
     """Arithmetic mean of PBC over all cross-region channel pairs."""
     return float(pbc_matrix(x, y, band, max_lag=max_lag).mean())
-
-
-def rbp(ts: TimeSeriesMatrix, channel: str, band: FrequencyBand,
-        bands_total=CANONICAL_BANDS, block_len: int = 100) -> float:
-    """Share of a channel's analysed spectral power falling inside one band.
-
-    Power is the block-averaged periodogram summed over the band's retained
-    frequencies; the denominator sums over the union of ``bands_total``, so
-    values over a partition of the analysed range add up to one.
-    """
-    single = ts.select([channel])
-    tensor = block_periodograms(single, block_len)
-    power = tensor.values[:, 0, :].mean(axis=0)
-    band_mask = band.mask(tensor.freqs_hz)
-    total_mask = np.zeros_like(band_mask)
-    for b in bands_total:
-        total_mask |= b.mask(tensor.freqs_hz)
-    if not band_mask.any():
-        raise EmptyBandError(f"band {band.name} contains no retained frequency")
-    if np.any(band_mask & ~total_mask):
-        raise ValueError("bands_total must cover the requested band")
-    total = power[total_mask].sum()
-    if total <= 0:
-        raise ValueError("no spectral power in the analysed range")
-    return float(power[band_mask].sum() / total)

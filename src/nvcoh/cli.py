@@ -4,7 +4,9 @@ Every command writes a manifest recording every flag of the command and the
 seed, which fully determine its outputs: the file flags under "inputs", the
 rest under "params".  Re-running a command with the same inputs and seed
 reproduces every output file byte for byte.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numerical degeneracy.
+error, 2 data error, 3 numerical degeneracy.  Only baseline and simulate load
+scipy at start; analyze loads it only for recordings of 160 blocks or more,
+and compare and null-dist never do.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import DEFAULT_MAX_LAG, min_samples, pbc_table, rbp
+from .cases import CASES, DEFAULT_MODULUS
 from .inference import (
     DEFAULT_GROUP_PERMS,
     DEFAULT_NULL_REPS,
@@ -32,14 +34,15 @@ from .inference import (
     p_values,
 )
 from .rank_core import DegenerateRanksError, derive_seed
-from .simulation import CASES, DEFAULT_MODULUS, run_study
 from .spectral import (
     CANONICAL_BANDS,
+    DEFAULT_MAX_LAG,
     BlockTooLongError,
     EmptyBandError,
     FrequencyBand,
     TimeSeriesMatrix,
     nvc_profile,
+    rbp,
     retained_indices,
 )
 from .tables import DataError, read_numeric_csv
@@ -299,6 +302,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .baselines import min_samples, pbc_table
+
     ts, config = _load_recording(
         args, max(min_samples(args.max_lag), 2 * args.block_len),
         f"max lag {args.max_lag}, two blocks of {args.block_len}")
@@ -377,6 +382,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import run_study
+
     try:
         report = run_study(cases=args.cases, n_secs=args.n_secs,
                            replicates=args.reps, block_len=args.block_len,

@@ -27,7 +27,9 @@ that overflow are inf and tie with one another, never with the row itself;
 the tree's ball query fails where squared distances may overflow, so such
 column sets take the matrix scan whatever their row count.  The row-count
 threshold, 160, is where matrix and tree cost the same for both the chained
-statistic and a single search (README, "Performance").  The matrix is the
+statistic and a single search (README, "Performance").  `scipy.spatial` is
+imported by the first k-d tree search, so a run below 160 rows, and every
+null draw, needs numpy alone.  The matrix is the
 contract's row sum over C-contiguous rows.  numpy sums at most seven terms
 strictly left to right, so up to seven columns the same matrix results from
 adding per-column squared differences in column order, and column sets that
@@ -41,7 +43,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "DegenerateRanksError",
@@ -277,6 +278,8 @@ def _nn_kdtree(v: np.ndarray) -> NeighborCandidates:
     # squares at inf tie, and the tree's ball query fails where they may
     if _squares_may_overflow(v):
         return _nn_exhaustive(_contract_sq(v))
+    from scipy.spatial import cKDTree  # loaded by the first search that needs it
+
     tree = cKDTree(v)
     dd, ii = tree.query(v, k=3)
     ddm = np.where(ii == np.arange(n)[:, None], np.inf, dd)
@@ -444,17 +447,21 @@ def _xi_null_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     if n < 2:
         raise ValueError("need n >= 2")
     out = np.empty(count, dtype=np.float64)
-    # denominator is a permutation invariant, hence a constant of n
-    den = n * n * (n + 1) // 2 - n * (n + 1) * (2 * n + 1) // 6
+    # over a permutation of 1..n, sum(l0**2) and the denominator are constants of n
+    sum_l2 = n * (n + 1) * (2 * n + 1) // 6
+    den = n * n * (n + 1) // 2 - sum_l2
+    ranks = np.arange(1, n + 1, dtype=np.int64)
+    # the chunk size and the draw order fix the generator's stream
     chunk = max(1, 4_000_000 // n)
     done = 0
     while done < count:
         m = min(chunk, count - done)
-        keys = rng.random((m, n))
-        r0 = keys.argsort(axis=1).argsort(axis=1).astype(np.int64) + 1
-        l0 = n - r0 + 1
+        # r0 ranks the keys, so the row of rank k is order[k - 1] and
+        # sum(min(r0, r0_nn)) is the sum over k of min(k, r0_nn[order[k - 1]])
+        order = rng.random((m, n)).argsort(axis=1)
         r0_nn = rng.integers(1, n + 1, size=(m, n), dtype=np.int64)
-        num = (n * np.minimum(r0, r0_nn) - l0 * l0).sum(axis=1)
+        nn_by_rank = np.take_along_axis(r0_nn, order, axis=1)
+        num = n * np.minimum(nn_by_rank, ranks, out=nn_by_rank).sum(axis=1) - sum_l2
         out[done:done + m] = num / den
         done += m
     return out

@@ -5,6 +5,8 @@ per-channel periodogram ordinates act as replicated observations of the
 squared frequency content at every retained Fourier frequency.  Feeding the
 per-frequency feature matrices of two channel groups into the vector
 dependence statistic yields the nonlinear vector coherence (NVC) profile.
+The relative band power baseline, `rbp`, is a share of the same block
+periodograms, so it lives here too, and `baselines` re-exports it.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ __all__ = [
     "block_periodograms",
     "nvc_profile",
     "band_summary",
+    "rbp",
 ]
 
 MEASURES = ("t", "tbar", "tstar")
@@ -247,3 +250,33 @@ def band_summary(profile: SpectralDependenceProfile,
             warnings.simplefilter("ignore", RuntimeWarning)
             out[band.name] = float(np.nanmean(vals))
     return out
+
+
+# lag window of the band-coherence baseline, `baselines.pbc`; declared in this
+# scipy-free module because the command line reads it when it builds its flags
+DEFAULT_MAX_LAG = 50
+
+
+def rbp(ts: TimeSeriesMatrix, channel: str, band: FrequencyBand,
+        bands_total=CANONICAL_BANDS, block_len: int = 100) -> float:
+    """Share of a channel's analysed spectral power falling inside one band.
+
+    Power is the block-averaged periodogram summed over the band's retained
+    frequencies; the denominator sums over the union of ``bands_total``, so
+    values over a partition of the analysed range add up to one.
+    """
+    single = ts.select([channel])
+    tensor = block_periodograms(single, block_len)
+    power = tensor.values[:, 0, :].mean(axis=0)
+    band_mask = band.mask(tensor.freqs_hz)
+    total_mask = np.zeros_like(band_mask)
+    for b in bands_total:
+        total_mask |= b.mask(tensor.freqs_hz)
+    if not band_mask.any():
+        raise EmptyBandError(f"band {band.name} contains no retained frequency")
+    if np.any(band_mask & ~total_mask):
+        raise ValueError("bands_total must cover the requested band")
+    total = power[total_mask].sum()
+    if total <= 0:
+        raise ValueError("no spectral power in the analysed range")
+    return float(power[band_mask].sum() / total)

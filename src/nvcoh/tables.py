@@ -25,12 +25,13 @@ def read_numeric_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
 
     Rejects a missing or empty file, duplicate labels, ragged rows, no data
     rows and unparsable or non-finite cells, pointing at the offending row
-    and column.
+    and column.  A leading UTF-8 byte-order mark is dropped, not read into
+    the first label.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

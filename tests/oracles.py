@@ -96,3 +96,26 @@ def t_star_reference(x, y, perms_x, perms_y, seed=0):
     forward = t_bar_reference(x, y, perms_y, seed, "y_on_x")
     reverse = t_bar_reference(y, x, perms_x, seed, "x_on_y", labels=("y", "x"))
     return max(forward, reverse)
+
+
+def xi_null_reference(n, count, rng):
+    """Null draws of xi from the definition, sharing only the generator stream.
+
+    Per draw: ranks r0 of ``n`` uniform keys, l0 = n - r0 + 1, neighbour ranks
+    drawn with replacement from 1..n, and the xi ratio of those ranks.  Draws
+    come in chunks of ``4_000_000 // n``, keys before neighbour ranks, which is
+    the stream order of `rank_core._xi_null_batch`.
+    """
+    out = []
+    chunk = max(1, 4_000_000 // n)
+    while len(out) < count:
+        m = min(chunk, count - len(out))
+        keys = rng.random((m, n))
+        r0_nn = rng.integers(1, n + 1, size=(m, n), dtype=np.int64)
+        for key, nn in zip(keys, r0_nn):
+            r0 = np.argsort(np.argsort(key)) + 1
+            l0 = n - r0 + 1
+            num = int((n * np.minimum(r0, nn) - l0 * l0).sum())
+            den = int((l0 * (n - l0)).sum())
+            out.append(num / den)
+    return np.array(out)

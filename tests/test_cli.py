@@ -37,6 +37,11 @@ def write_csv(path, labels, data):
         w.writerows(np.asarray(data).tolist())
 
 
+def add_byte_order_mark(path):
+    path = Path(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
 def write_regions(path, regions, pairs=None):
     payload = {"regions": regions}
     if pairs is not None:
@@ -144,6 +149,17 @@ class TestRegions:
         assert rc == EXIT_DATA
         assert err.startswith("nvc: data error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_byte_order_mark_is_not_part_of_a_label(self, tmp_path):
+        rec = tmp_path / "rec.csv"
+        write_csv(rec, ["Fp1", "b1"], np.random.default_rng(0).standard_normal((600, 2)))
+        add_byte_order_mark(rec)
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"LF": ["Fp1"], "RB": ["b1"]})
+        rc = main(["analyze", "--input", str(rec), "--regions", str(reg),
+                   "--discard-secs", "0", "--null-reps", "50",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_OK
 
 
 class TestAnalyze:
@@ -261,6 +277,18 @@ class TestCompare:
                    "--out-dir", str(tmp_path / "out"), "--seed", "1"])
         assert rc == EXIT_DATA
         assert "misaligned" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_marked", [2, 1], ids=["both", "one"])
+    def test_byte_order_mark_is_not_part_of_a_feature(self, n_marked, tmp_path):
+        a, b = self.make_cohorts(tmp_path, n_features=2)
+        for path in (a, b)[:n_marked]:
+            add_byte_order_mark(path)
+        out = tmp_path / "out"
+        rc = main(["compare", "--cohort-a", str(a), "--cohort-b", str(b),
+                   "--group-perms", "100", "--out-dir", str(out), "--seed", "1"])
+        assert rc == EXIT_OK
+        rows = list(csv.DictReader(open(out / "comparison.csv")))
+        assert [r["feature"] for r in rows] == ["f0", "f1"]
 
     @pytest.mark.parametrize("content, message", [
         ("f0,f1\n1,2\n3,nan\n", "non-finite value at row 3, column f1"),

@@ -14,7 +14,8 @@ from nvcoh.rank_core import (
     xi_n,
     xi_null,
 )
-from oracles import brute_force_neighbors, counting_ranks, xi_reference
+from oracles import (brute_force_neighbors, counting_ranks, xi_null_reference,
+                     xi_reference)
 
 
 class TestComputeRanks:
@@ -293,6 +294,13 @@ class TestXiNull:
         for n, seed in ((2, 0), (50, 9), (300, 123)):
             want = _xi_null_batch(n, 1, np.random.default_rng(seed))[0]
             assert xi_null(n, seed=seed) == want
+
+    @pytest.mark.parametrize("n, count", [(2, 50), (40, 300), (595, 6800)])
+    def test_batch_equals_the_definition(self, n, count):
+        # 6800 draws at n = 595 span two chunks of the generator stream
+        want = xi_null_reference(n, count, np.random.default_rng(n))
+        got = rank_core._xi_null_batch(n, count, np.random.default_rng(n))
+        assert got.tobytes() == want.tobytes()
 
     def test_takes_no_data(self):
         # signature admits only the sample size and seed
