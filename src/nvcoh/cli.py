@@ -6,7 +6,9 @@ rest under "params".  Re-running a command with the same inputs and seed
 reproduces every output file byte for byte.  Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical degeneracy.  Only baseline and simulate load
 scipy at start; analyze loads it only for recordings of 160 blocks or more,
-and compare and null-dist never do.
+and compare and null-dist never do.  analyze (region pairs) and simulate
+(replicates) run their profiles in one pool of --threads processes per run,
+through `spectral.fan_out`; no output depends on --threads but the manifest.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from .spectral import (
     EmptyBandError,
     FrequencyBand,
     TimeSeriesMatrix,
+    fan_out,
     nvc_profile,
     rbp,
     retained_indices,
@@ -96,10 +99,14 @@ class RegionConfig:
                     raise DataError(
                         f"channel {ch} appears in regions {seen[ch]} and {name}")
                 seen[ch] = name
-        for a, b in self.pairs:
+        if not self.pairs:
+            raise DataError("the region config has no region pair to analyse")
+        for i, (a, b) in enumerate(self.pairs):
             for r in (a, b):
                 if r not in self.regions:
                     raise DataError(f"pair ({a}, {b}) references unknown region {r}")
+            if (a, b) in self.pairs[:i]:
+                raise DataError(f"pair ({a}, {b}) is listed twice")
 
 
 def default_region_config() -> RegionConfig:
@@ -161,19 +168,48 @@ def _load_recording(args, need: int, why: str) -> tuple[TimeSeriesMatrix, Region
     data = ts.data[start:]
     if args.standardize:
         _reject_constant(data, ts.labels, "cannot be standardized")
-        data = (data - data.mean(axis=0)) / data.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = data.std(axis=0)
+        _reject_overflow(std, ts.labels, "channel", "the standard deviation")
+        data = (data - data.mean(axis=0)) / std
+    else:
+        # a block periodogram reaches block_len * sum(x**2); baseline's pbc
+        # multiplies two channels' sums of squares, each at most the larger
+        # one squared.  Channels outside every region are never computed on.
+        used = [ts.labels.index(ch) for chans in config.regions.values() for ch in chans]
+        with np.errstate(over="ignore"):
+            power = np.einsum("ij,ij->j", data, data)[used]
+            reach = power * (power if args.command == "baseline" else args.block_len)
+        _reject_overflow(reach, [ts.labels[i] for i in used], "channel",
+                         "the sum of squares")
     return TimeSeriesMatrix(data=data, fs=ts.fs, labels=ts.labels), config
 
 
 def _reject_constant(data: np.ndarray, labels, why: str) -> None:
     """Raise a degeneracy error naming every column whose samples are all equal."""
-    flat = [labels[i] for i in np.flatnonzero(np.ptp(data, axis=0) == 0)]
+    with np.errstate(over="ignore"):  # max - min may overflow; it is not 0 then
+        flat = [labels[i] for i in np.flatnonzero(np.ptp(data, axis=0) == 0)]
     if flat:
         raise DegenerateRanksError(f"constant channel(s) {flat} {why}")
 
 
+def _reject_overflow(reach: np.ndarray, labels, noun: str, what: str) -> None:
+    """Raise a data error naming every column whose ``reach`` is not finite.
+
+    ``reach`` bounds, per column, the largest magnitude the command computes
+    from it; an overflow there would turn into inf, NaN or a silent 0.
+    """
+    big = [labels[i] for i in np.flatnonzero(~np.isfinite(reach))]
+    if big:
+        raise DataError(f"{noun}(s) {big} too large: {what} would overflow float64")
+
+
 def _parse_bands(spec: str | None, freqs: np.ndarray) -> tuple[FrequencyBand, ...]:
-    """Bands of ``--bands``, canonical if unset; a band holding no ``freqs`` is refused."""
+    """Bands of ``--bands``, canonical if unset.
+
+    A band holding no ``freqs`` is refused, and so is an empty name (the band
+    label of out-of-band frequencies) or a repeated one.
+    """
     if not spec:
         return CANONICAL_BANDS
     bands = []
@@ -181,6 +217,10 @@ def _parse_bands(spec: str | None, freqs: np.ndarray) -> tuple[FrequencyBand, ..
         bits = part.split(":")
         if len(bits) != 3:
             raise UsageError(f"band {part!r} is not name:lo:hi")
+        if not bits[0]:
+            raise UsageError(f"band {part!r} has no name")
+        if bits[0] in {band.name for band in bands}:
+            raise UsageError(f"band name {bits[0]!r} is repeated")
         try:
             band = FrequencyBand(bits[0], float(bits[1]), float(bits[2]))
         except ValueError as exc:
@@ -198,20 +238,15 @@ def _band_of(freq: float, bands) -> str:
     return ""
 
 
-def _profile_worker(args):
-    (pair_name, x_data, y_data, fs, block_len, measure, n_perms, master_seed) = args
-    x = TimeSeriesMatrix(x_data, fs, tuple(f"x{i}" for i in range(x_data.shape[1])))
-    y = TimeSeriesMatrix(y_data, fs, tuple(f"y{i}" for i in range(y_data.shape[1])))
+def _profile_worker(task):
+    pair_name, x, y, block_len, measure, n_perms, master_seed = task
     # plans are keyed by dimension, so every pair with the same q shares one
     plan_y = _default_plan(y.n_channels, n_perms, master_seed)
     plan_x = _default_plan(x.n_channels, n_perms, master_seed) \
         if measure == "tstar" else None
-    # warnings return with the result, so that a worker process prints none
-    with warnings.catch_warnings(record=True) as caught:
-        profile = nvc_profile(x, y, block_len, measure=measure,
-                              seed=derive_seed(master_seed, "pair", pair_name),
-                              plan_x=plan_x, plan_y=plan_y)
-    return pair_name, profile.estimates, profile.meta, [str(w.message) for w in caught]
+    return nvc_profile(x, y, block_len, measure=measure,
+                       seed=derive_seed(master_seed, "pair", pair_name),
+                       plan_x=plan_x, plan_y=plan_y)
 
 
 def cmd_analyze(args) -> int:
@@ -223,47 +258,31 @@ def cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     n_blocks = ts.n_samples // args.block_len
 
-    tasks = []
-    for a, b in config.pairs:
-        x = ts.select(config.regions[a])
-        y = ts.select(config.regions[b])
-        tasks.append((f"{a}-{b}", x.data, y.data, ts.fs, args.block_len,
-                      args.measure, args.q_perms, args.seed))
-
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_profile_worker, tasks))
-    else:
-        results = [_profile_worker(t) for t in tasks]
-    for note in dict.fromkeys(note for *_, notes in results for note in notes):
-        warnings.warn(note)
+    names = [f"{a}-{b}" for a, b in config.pairs]
+    tasks = [(name, ts.select(config.regions[a]), ts.select(config.regions[b]),
+              args.block_len, args.measure, args.q_perms, args.seed)
+             for name, (a, b) in zip(names, config.pairs)]
+    profiles = fan_out(_profile_worker, tasks, args.threads, ProcessPoolExecutor)
 
     # one null ensemble per distinct (n, q); no data enters it
     ensembles: dict = {}
-    per_pair = []
-    all_p: list[float] = []
-    for pair_name, estimates, meta, _ in results:
-        key = (n_blocks, meta["q"])
+    p_raw = np.empty((len(profiles), freqs.size))
+    for i, profile in enumerate(profiles):
+        key = (n_blocks, profile.meta["q"])
         if key not in ensembles:
             ensembles[key] = null_ensemble(
                 *key, n_reps=args.null_reps,
                 seed=derive_seed(args.seed, "null", *key, args.null_reps))
-        ensemble = ensembles[key]
-        praw = p_values(estimates, ensemble)
-        per_pair.append((pair_name, estimates, praw, meta, ensemble))
-        all_p.extend(praw.tolist())
-
-    all_p = np.asarray(all_p)
-    finite = ~np.isnan(all_p)
-    adj = np.full_like(all_p, np.nan)
+        p_raw[i] = p_values(profile.estimates, ensembles[key])
+    finite = ~np.isnan(p_raw)
+    p_adj = np.full_like(p_raw, np.nan)
     if finite.any():
-        adj[finite] = bh_adjust(all_p[finite])
+        p_adj[finite] = bh_adjust(p_raw[finite])
 
     csv_rows = []
-    offset = 0
-    for pair_name, estimates, praw, meta, ensemble in per_pair:
-        padj = adj[offset: offset + estimates.size]
-        offset += estimates.size
+    for pair_name, profile, praw, padj in zip(names, profiles, p_raw, p_adj):
+        estimates = profile.estimates
+        ensemble = ensembles[n_blocks, profile.meta["q"]]
         summary = {}
         for band in bands:
             mask = band.mask(freqs)
@@ -283,7 +302,7 @@ def cmd_analyze(args) -> int:
             "p_raw": praw.tolist(),
             "p_adj": padj.tolist(),
             "band_summary": summary,
-            "meta": {**meta, "alpha": args.alpha,
+            "meta": {**profile.meta, "alpha": args.alpha,
                      "null_reps": ensemble.n_reps,
                      "null_sha256": ensemble.sha256(),
                      "null_structure": ensemble.structure},
@@ -297,7 +316,7 @@ def cmd_analyze(args) -> int:
                ("pair", "band", "freq_hz", "estimate", "p_raw", "p_adj"), csv_rows)
     _write_manifest(args, out,
                     stats={"n_blocks": n_blocks, "null_ensemble_builds": len(ensembles)},
-                    pairs=["-".join(p) for p in config.pairs])
+                    pairs=names)
     return EXIT_OK
 
 
@@ -351,6 +370,11 @@ def cmd_compare(args) -> int:
     if feats_a != feats_b:
         raise DataError("cohort feature columns are misaligned: "
                         f"{feats_a} vs {feats_b}")
+    # the permutation test's group sums and differences of means are at most
+    # twice the sum of the pooled magnitudes
+    with np.errstate(over="ignore"):
+        reach = 2 * (np.abs(table_a).sum(axis=0) + np.abs(table_b).sum(axis=0))
+    _reject_overflow(reach, feats_a, "feature", "the sum of magnitudes")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -455,9 +479,11 @@ _FLAGS: dict[str, tuple[dict, tuple | None]] = {
     "group_perms": (dict(type=int, default=DEFAULT_GROUP_PERMS),
                     (lambda v: v >= 1, "at least 1")),
     "cases": (dict(type=int, nargs="+", default=(1, 2, 3, 4, 5)),
-              (lambda v: set(v) <= set(CASES), f"among {sorted(CASES)}")),
+              (lambda v: set(v) <= set(CASES) and len(set(v)) == len(v),
+               f"distinct values among {sorted(CASES)}")),
     "n_secs": (dict(type=float, nargs="+", default=(50, 100, 200)),
-               (lambda v: all(10 <= s < math.inf for s in v), "at least 10 each")),
+               (lambda v: all(10 <= s < math.inf for s in v) and len(set(v)) == len(v),
+                "distinct values of at least 10")),
     "reps": (dict(type=int, default=200), (lambda v: v >= 10, "at least 10")),
     "modulus": (dict(type=float, default=DEFAULT_MODULUS),
                 (lambda v: 0 < v < 1, "inside (0, 1)")),

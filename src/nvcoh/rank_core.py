@@ -39,6 +39,7 @@ pairwise, so wider matrices are computed by the contract expression itself.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -312,14 +313,15 @@ class NeighborSearch:
         self._found: dict = {}
         self._sums: dict = {}
         # squares that overflow are inf, as in the contract; silencing the
-        # warning slows every ufunc call, so only such data pays for it
-        self._overflow = (np.errstate(over="ignore") if _squares_may_overflow(self.z)
-                          else contextlib.nullcontext())
+        # warning slows every ufunc call, so only such data pays for it.  An
+        # errstate can be entered only once, so each search makes its own.
+        self._overflow = (functools.partial(np.errstate, over="ignore")
+                          if _squares_may_overflow(self.z) else contextlib.nullcontext)
 
     def candidates(self, cols) -> NeighborCandidates:
         cols = tuple(cols)
         if cols not in self._found:
-            with self._overflow:
+            with self._overflow():
                 self._found[cols] = self._search(cols)
         return self._found[cols]
 

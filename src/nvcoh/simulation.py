@@ -8,12 +8,11 @@ dependence.  The driver repeats estimation and testing over seeded replicates
 and aggregates Monte Carlo summaries per case, sample size and frequency.
 The cases themselves are specified in `cases`, and re-exported here.
 `scipy.signal` is imported at module top, so a `simulate` run loads it once,
-before its process pool forks.
+before its one process pool forks.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ from .cases import (
 )
 from .inference import null_ensemble, p_values
 from .rank_core import derive_seed
-from .spectral import TimeSeriesMatrix, nvc_profile, retained_indices
+from .spectral import TimeSeriesMatrix, fan_out, nvc_profile, retained_indices
 
 __all__ = [
     "LatentOscillatorSpec",
@@ -169,17 +168,15 @@ def check_study(cases, n_secs, block_len: int, fs: float) -> None:
                              f"block(s) of {block_len} samples; need at least 2")
 
 
-def _replicate(args) -> tuple[int, np.ndarray | None, str | None, list[str]]:
-    (idx, case_id, n_sec, fs, block_len, measure, modulus, rep_seed) = args
+def _replicate(task) -> tuple[np.ndarray | None, str | None]:
+    case_id, n_sec, fs, block_len, measure, modulus, rep_seed = task
     try:
-        # warnings return with the result, so that a worker process prints none
-        with warnings.catch_warnings(record=True) as caught:
-            x, y = gen_case(case_id, n_sec, fs=fs, seed=rep_seed, modulus=modulus)
-            profile = nvc_profile(x, y, block_len, measure=measure,
-                                  seed=derive_seed(rep_seed, "measure"))
-        return idx, profile.estimates, None, [str(w.message) for w in caught]
+        x, y = gen_case(case_id, n_sec, fs=fs, seed=rep_seed, modulus=modulus)
+        profile = nvc_profile(x, y, block_len, measure=measure,
+                              seed=derive_seed(rep_seed, "measure"))
+        return profile.estimates, None
     except Exception as exc:  # noqa: BLE001 - reported and rate-limited upstream
-        return idx, None, f"{type(exc).__name__}: {exc}", []
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 200,
@@ -194,96 +191,84 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
     for that (block count, response dimension).  Aggregates the mean
     estimate, the middle 95% envelope, the standard error and the rejection
     rate per frequency, plus rejection rates averaged over the pre-specified
-    frequency sets.  Fully reproducible from (config, seed); replicates may
-    run in parallel since each owns a derived seed.
+    frequency sets.  Fully reproducible from (config, seed); the replicates
+    of every cell run in one `spectral.fan_out` call, in ``workers``
+    processes, since each owns a derived seed.
 
     Settings that `check_study` rejects, and a cell whose every replicate
     runs out of memory (a sample count too large to allocate), raise
-    ValueError; other failures above 1% of a cell raise RuntimeError.
+    ValueError; other failures above 1% of a cell raise RuntimeError.  Cells
+    are checked in order once every replicate has returned.
     """
     if replicates < 10:
         raise ValueError("need at least 10 replicates")
     check_study(cases, n_secs, block_len, fs)
     freqs_hz = retained_indices(block_len) * fs / block_len
+    cells = [(case_id, n_sec) for case_id in cases for n_sec in n_secs]
+    tasks = [(case_id, n_sec, fs, block_len, measure, modulus,
+              derive_seed(seed, "rep", case_id, n_sec, r))
+             for case_id, n_sec in cells for r in range(replicates)]
+    results = fan_out(_replicate, tasks, workers, ProcessPoolExecutor)
+
     rows: list[dict] = []
     set_rows: list[dict] = []
     # one null ensemble per distinct (n, q); no data enters it
     ensembles: dict = {}
     failures: list[str] = []
-    warned: set[str] = set()
+    for c, (case_id, n_sec) in enumerate(cells):
+        n_blocks = int(round(n_sec * fs)) // block_len
+        estimates = np.full((replicates, freqs_hz.size), np.nan)
+        cell_failures = out_of_memory = 0
+        for r, (est, err) in enumerate(results[c * replicates:(c + 1) * replicates]):
+            if err is None:
+                estimates[r] = est
+            else:
+                cell_failures += 1
+                out_of_memory += err.startswith("MemoryError:")
+                failures.append(f"case={case_id} n_sec={n_sec} rep={r}: {err}")
+        if out_of_memory == replicates:
+            raise ValueError(
+                f"every replicate ran out of memory for case={case_id}, "
+                f"n_sec={n_sec}: {err}")
+        if cell_failures > 0.01 * replicates:
+            raise RuntimeError(
+                f"{cell_failures}/{replicates} replicates failed for "
+                f"case={case_id}, n_sec={n_sec}: {failures[-1]}")
+        ok = ~np.isnan(estimates).all(axis=1)
 
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for case_id in cases:
-            case = CASES[case_id]
-            for n_sec in n_secs:
-                n_blocks = int(round(n_sec * fs)) // block_len
-                tasks = [
-                    (r, case_id, n_sec, fs, block_len, measure, modulus,
-                     derive_seed(seed, "rep", case_id, n_sec, r))
-                    for r in range(replicates)
-                ]
-                results = pool.map(_replicate, tasks, chunksize=8) if pool \
-                    else map(_replicate, tasks)
-                estimates = np.full((replicates, freqs_hz.size), np.nan)
-                cell_failures = out_of_memory = 0
-                for idx, est, err, notes in results:
-                    for note in notes:
-                        if note not in warned:
-                            warned.add(note)
-                            warnings.warn(note, stacklevel=2)
-                    if err is None:
-                        estimates[idx] = est
-                    else:
-                        cell_failures += 1
-                        out_of_memory += err.startswith("MemoryError:")
-                        failures.append(f"case={case_id} n_sec={n_sec} rep={idx}: {err}")
-                if out_of_memory == replicates:
-                    raise ValueError(
-                        f"every replicate ran out of memory for case={case_id}, "
-                        f"n_sec={n_sec}: {err}")
-                if cell_failures > 0.01 * replicates:
-                    raise RuntimeError(
-                        f"{cell_failures}/{replicates} replicates failed for "
-                        f"case={case_id}, n_sec={n_sec}: {failures[-1]}")
-                ok = ~np.isnan(estimates).all(axis=1)
+        key = (n_blocks, CASES[case_id].q)
+        if key not in ensembles:
+            ensembles[key] = null_ensemble(*key, n_reps=null_reps,
+                                           seed=derive_seed(seed, "null", *key))
+        pvals = p_values(estimates[ok].ravel(), ensembles[key])
+        pvals = pvals.reshape(ok.sum(), freqs_hz.size)
+        reject = np.where(np.isnan(pvals), np.nan, pvals < alpha)
 
-                key = (n_blocks, case.q)
-                if key not in ensembles:
-                    ensembles[key] = null_ensemble(*key, n_reps=null_reps,
-                                                   seed=derive_seed(seed, "null", *key))
-                pvals = p_values(estimates[ok].ravel(), ensembles[key])
-                pvals = pvals.reshape(ok.sum(), freqs_hz.size)
-                reject = np.where(np.isnan(pvals), np.nan, pvals < alpha)
-
-                est_ok = estimates[ok]
-                mean = np.nanmean(est_ok, axis=0)
-                q025 = np.nanquantile(est_ok, 0.025, axis=0)
-                q975 = np.nanquantile(est_ok, 0.975, axis=0)
-                se = np.nanstd(est_ok, axis=0, ddof=1)
-                reject_rate = np.nanmean(reject, axis=0)
-                for i, f in enumerate(freqs_hz):
-                    rows.append({
-                        "case": int(case_id), "n_sec": float(n_sec),
-                        "freq_hz": float(f), "mean": float(mean[i]),
-                        "q025": float(q025[i]), "q975": float(q975[i]),
-                        "se": float(se[i]), "reject_rate": float(reject_rate[i]),
-                    })
-                for name, mask in table1_frequency_sets(case_id, freqs_hz).items():
-                    # short blocks may retain no frequency of a set: null
-                    held = mask.any()
-                    set_rows.append({
-                        "case": int(case_id), "n_sec": float(n_sec), "set": name,
-                        "reject_rate":
-                            float(np.nanmean(reject_rate[mask])) if held else None,
-                        "ave_se": float(np.nanmean(se[mask])) if held else None,
-                        "mean_estimate":
-                            float(np.nanmean(mean[mask])) if held else None,
-                        "n_freqs": int(mask.sum()),
-                    })
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        est_ok = estimates[ok]
+        mean = np.nanmean(est_ok, axis=0)
+        q025 = np.nanquantile(est_ok, 0.025, axis=0)
+        q975 = np.nanquantile(est_ok, 0.975, axis=0)
+        se = np.nanstd(est_ok, axis=0, ddof=1)
+        reject_rate = np.nanmean(reject, axis=0)
+        for i, f in enumerate(freqs_hz):
+            rows.append({
+                "case": int(case_id), "n_sec": float(n_sec),
+                "freq_hz": float(f), "mean": float(mean[i]),
+                "q025": float(q025[i]), "q975": float(q975[i]),
+                "se": float(se[i]), "reject_rate": float(reject_rate[i]),
+            })
+        for name, mask in table1_frequency_sets(case_id, freqs_hz).items():
+            # short blocks may retain no frequency of a set: null
+            held = mask.any()
+            set_rows.append({
+                "case": int(case_id), "n_sec": float(n_sec), "set": name,
+                "reject_rate":
+                    float(np.nanmean(reject_rate[mask])) if held else None,
+                "ave_se": float(np.nanmean(se[mask])) if held else None,
+                "mean_estimate":
+                    float(np.nanmean(mean[mask])) if held else None,
+                "n_freqs": int(mask.sum()),
+            })
 
     meta = {
         "cases": [int(c) for c in cases],

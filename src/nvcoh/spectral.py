@@ -7,9 +7,13 @@ per-frequency feature matrices of two channel groups into the vector
 dependence statistic yields the nonlinear vector coherence (NVC) profile.
 The relative band power baseline, `rbp`, is a share of the same block
 periodograms, so it lives here too, and `baselines` re-exports it.
+`fan_out` runs one function over many profile tasks, in a process pool or
+in-process, and shows their warnings once in the calling process; `nvc
+analyze` (pairs) and `simulation.run_study` (replicates) both call it.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -280,3 +284,29 @@ def rbp(ts: TimeSeriesMatrix, channel: str, band: FrequencyBand,
     if total <= 0:
         raise ValueError("no spectral power in the analysed range")
     return float(power[band_mask].sum() / total)
+
+
+def _recorded(fn, task):
+    """``fn(task)`` and the messages of the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(task)
+    return result, [str(w.message) for w in caught]
+
+
+def fan_out(fn, tasks, workers: int, executor) -> list:
+    """``[fn(task) for task in tasks]``, in one pool of ``workers`` processes if > 1.
+
+    ``executor`` is the pool class, passed by the caller so that each module's
+    `ProcessPoolExecutor` name can be swapped for an in-process stand-in.
+    Warnings are recorded where each task runs, so a worker prints none; each
+    distinct message is issued once here, in task order, after every task.
+    """
+    run = functools.partial(_recorded, fn)
+    if workers > 1:
+        with executor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run, tasks))
+    else:
+        outcomes = [run(task) for task in tasks]
+    for message in dict.fromkeys(m for _, messages in outcomes for m in messages):
+        warnings.warn(message, stacklevel=2)
+    return [result for result, _ in outcomes]

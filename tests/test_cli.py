@@ -531,6 +531,9 @@ class TestParameterBoundary:
         # finite, but every replicate fails to allocate it
         (["simulate", "--cases", "1", "--n-secs", "1e15", "--fs", "100",
           "--reps", "10"], EXIT_USAGE),
+        # a repeated cell would be run, and reported, more than once
+        (["simulate", "--cases", "3", "3", "--n-secs", "20"], EXIT_USAGE),
+        (["simulate", "--cases", "3", "--n-secs", "20", "20.0"], EXIT_USAGE),
     ])
     def test_exit_code_and_one_line(self, argv, code, two_region_recording,
                                     tmp_path, capsys):
@@ -653,6 +656,158 @@ class TestManifest:
             if key in manifest["inputs"]:
                 assert manifest["inputs"][key] == argv[argv.index(
                     "--" + flag.replace("_", "-")) + 1]
+
+
+class TestRefusedInputs:
+    """Inputs that used to run into a silently wrong output, refused in one line."""
+
+    @staticmethod
+    def run(argv, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return rc, err
+
+    @pytest.mark.parametrize("command", ["analyze", "baseline"])
+    @pytest.mark.parametrize("spec, message", [
+        ("a:1:5,a:6:12", "band name 'a' is repeated"),
+        (":1:5", "band ':1:5' has no name"),
+    ], ids=["repeated", "empty"])
+    def test_band_names_unique_and_named(self, command, spec, message,
+                                         two_region_recording, tmp_path, capsys):
+        rec, reg = two_region_recording
+        out = tmp_path / "out"
+        rc, err = self.run([command, "--input", str(rec), "--regions", str(reg),
+                            "--bands", spec, "--out-dir", str(out)], capsys)
+        assert rc == EXIT_USAGE
+        assert err == f"nvc: usage error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "baseline"])
+    @pytest.mark.parametrize("config, message", [
+        ({"regions": {"RA": ["A1", "A2"], "RB": ["B1", "B2"]},
+          "pairs": [["RA", "RB"], ["RA", "RB"]]}, "pair (RA, RB) is listed twice"),
+        ({"regions": {"RA": ["A1", "A2"]}}, "no region pair"),
+        ({"regions": {"RA": ["A1", "A2"], "RB": ["B1", "B2"]}, "pairs": []},
+         "no region pair"),
+    ], ids=["repeated", "one_region", "empty_pairs"])
+    def test_pairs_listed_once_and_at_least_one(self, command, config, message,
+                                                two_region_recording, tmp_path, capsys):
+        rec, _ = two_region_recording
+        reg = tmp_path / "pairs.json"
+        reg.write_text(json.dumps(config))
+        rc, err = self.run([command, "--input", str(rec), "--regions", str(reg),
+                            "--out-dir", str(tmp_path / "out")], capsys)
+        assert rc == EXIT_DATA
+        assert err.startswith("nvc: data error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["analyze", "baseline"])
+    @pytest.mark.parametrize("standardize", ["--standardize", "--no-standardize"])
+    def test_recording_whose_squares_overflow(self, command, standardize, tmp_path,
+                                              capsys):
+        rec = tmp_path / "rec.csv"
+        data = np.random.default_rng(2).standard_normal((3000, 3))
+        data[:, 1] *= 1e200
+        write_csv(rec, ["A1", "B1", "B2"], data)
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"RA": ["A1"], "RB": ["B1", "B2"]})
+        rc, err = self.run([command, "--input", str(rec), "--regions", str(reg),
+                            standardize, "--out-dir", str(tmp_path / "out")], capsys)
+        assert rc == EXIT_DATA
+        assert err.startswith("nvc: data error: channel(s) ['B1'] too large")
+
+    def test_cohorts_whose_sums_overflow(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(a, ["f0", "f1"], [[1e308, 1.0], [1e308, 2.0], [1e308, 3.0]])
+        write_csv(b, ["f0", "f1"], [[-1e308, 1.0], [-1e308, 2.0], [-1e308, 4.0]])
+        rc, err = self.run(["compare", "--cohort-a", str(a), "--cohort-b", str(b),
+                            "--out-dir", str(tmp_path / "out")], capsys)
+        assert rc == EXIT_DATA
+        assert err.startswith("nvc: data error: feature(s) ['f0'] too large")
+
+    @pytest.mark.parametrize("command, bound", [
+        # block_len * sum(x**2) for the periodogram; sum(x**2)**2 for pbc
+        ("analyze", lambda s: np.finfo(float).max / 2 / 100 / s),
+        ("baseline", lambda s: np.sqrt(np.finfo(float).max / 4) / s),
+    ], ids=["analyze", "baseline"])
+    def test_recording_just_inside_the_bound_runs(self, command, bound, tmp_path):
+        data = np.random.default_rng(3).standard_normal((3000, 4))
+        scale = np.sqrt(bound((data * data).sum(axis=0).max()))
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"RA": ["A1", "A2"], "RB": ["B1", "B2"]})
+        extra = ["--null-reps", "20"] if command == "analyze" else []
+        outs = {}
+        for name, factor in [("plain", 1.0), ("scaled", scale)]:
+            rec = tmp_path / f"{name}.csv"
+            write_csv(rec, ["A1", "A2", "B1", "B2"], data * factor)
+            outs[name] = tmp_path / name
+            assert main([command, "--input", str(rec), "--regions", str(reg),
+                         "--no-standardize", *extra, "--out-dir", str(outs[name])]) \
+                == EXIT_OK
+        if command == "analyze":
+            # the scaled periodograms' squared distances overflow, as the
+            # estimator's contract allows; every estimate stays finite
+            got = json.loads((outs["scaled"] / "profile_RA-RB.json").read_text())
+            assert np.isfinite(got["estimate"]).all()
+        else:
+            # band coherence and band power do not depend on the scale
+            for name in ("pbc.csv", "rbp.csv"):
+                want = [r[-1] for r in csv.reader(open(outs["plain"] / name))][1:]
+                got = [r[-1] for r in csv.reader(open(outs["scaled"] / name))][1:]
+                np.testing.assert_allclose(np.array(got, float), np.array(want, float),
+                                           rtol=1e-9)
+
+
+class TestFanOut:
+    """`--threads` changes where profiles run, never what a command writes."""
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_threads_write_identical_files(self, command, two_region_recording,
+                                           tmp_path):
+        rec, _ = two_region_recording
+        reg = tmp_path / "three.json"
+        write_regions(reg, {"RA": ["A1"], "RB": ["B1", "B2"], "RC": ["A2"]},
+                      [["RA", "RB"], ["RC", "RB"]])
+        argv = {"analyze": ["analyze", "--input", str(rec), "--regions", str(reg),
+                            "--null-reps", "50"],
+                "simulate": ["simulate", "--cases", "3", "4", "--n-secs", "10",
+                             "--reps", "10", "--null-reps", "20"]}[command]
+        for threads in ("1", "2"):
+            assert main(argv + ["--threads", threads, "--seed", "3", "--out-dir",
+                                str(tmp_path / threads)]) == EXIT_OK
+        files = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "2").iterdir())
+        assert len(files) > 2
+        for name in files:
+            if name != "manifest.json":  # it records --threads
+                assert (tmp_path / "1" / name).read_bytes() == \
+                    (tmp_path / "2" / name).read_bytes(), name
+
+    def test_simulate_builds_one_pool_for_every_cell(self, tmp_path, monkeypatch):
+        from nvcoh import simulation
+
+        built = []
+
+        class Counting:
+            def __init__(self, max_workers=None):
+                built.append(max_workers)
+
+            def map(self, fn, *iterables, chunksize=1):
+                return list(map(fn, *iterables))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", Counting)
+        assert main(["simulate", "--cases", "3", "4", "--n-secs", "10", "12",
+                     "--reps", "10", "--null-reps", "20", "--threads", "2",
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert built == [2]
+        rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4 * 49
 
 
 # --------------------------------------------------------------- argv property

@@ -191,6 +191,14 @@ class TestNeighborSearch:
         z = np.column_stack([r.standard_normal(n), v])
         assert np.array_equal(NeighborSearch(z).candidates((1,)).resolve(seed), want)
 
+    def test_overflowing_squares_in_several_column_sets(self):
+        # each search silences the overflow on its own, one set after another
+        z = np.random.default_rng(5).standard_normal((40, 3)) * 1e200
+        search = NeighborSearch(z)
+        for cols in [(0,), (0, 1), (2, 1, 0)]:
+            want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=1)
+            assert np.array_equal(search.candidates(cols).resolve(1), want)
+
     def test_each_column_set_searched_once(self):
         search = NeighborSearch(np.random.default_rng(0).standard_normal((30, 4)))
         assert search.candidates((0, 2)) is search.candidates([0, 2])
