@@ -35,7 +35,7 @@ from .inference import (
     null_ensemble,
     p_values,
 )
-from .rank_core import DegenerateRanksError, derive_seed
+from .rank_core import DegenerateRanksError, _square_safe_magnitude, derive_seed
 from .spectral import (
     CANONICAL_BANDS,
     DEFAULT_MAX_LAG,
@@ -166,22 +166,40 @@ def _load_recording(args, need: int, why: str) -> tuple[TimeSeriesMatrix, Region
                         f"discarding {args.discard_secs}s; {args.command} needs at "
                         f"least {need} ({why})")
     data = ts.data[start:]
+    # channels outside every region are never computed on: neither checked nor scaled
+    used = [ts.labels.index(ch) for chans in config.regions.values() for ch in chans]
+    labels = [ts.labels[i] for i in used]
     if args.standardize:
-        _reject_constant(data, ts.labels, "cannot be standardized")
+        _reject_constant(data[:, used], labels, "cannot be standardized")
+        # the moments of the whole matrix, whose reductions run in the same
+        # order whichever columns are kept
         with np.errstate(over="ignore", invalid="ignore"):
-            std = data.std(axis=0)
-        _reject_overflow(std, ts.labels, "channel", "the standard deviation")
-        data = (data - data.mean(axis=0)) / std
-    else:
-        # a block periodogram reaches block_len * sum(x**2); baseline's pbc
-        # multiplies two channels' sums of squares, each at most the larger
-        # one squared.  Channels outside every region are never computed on.
-        used = [ts.labels.index(ch) for chans in config.regions.values() for ch in chans]
+            mean, std = data.mean(axis=0)[used], data.std(axis=0)[used]
+        _reject_overflow(std, labels, "channel",
+                         "the standard deviation would overflow float64")
+        data[:, used] = (data[:, used] - mean) / std
+        return TimeSeriesMatrix(data=data, fs=ts.fs, labels=ts.labels), config
+    with np.errstate(over="ignore"):
+        power = np.einsum("ij,ij->j", data, data)[used]
+    if args.command == "baseline":
+        # pbc multiplies two channels' sums of squares, each at most the
+        # larger one squared
         with np.errstate(over="ignore"):
-            power = np.einsum("ij,ij->j", data, data)[used]
-            reach = power * (power if args.command == "baseline" else args.block_len)
-        _reject_overflow(reach, [ts.labels[i] for i in used], "channel",
-                         "the sum of squares")
+            _reject_overflow(power * power, labels, "channel",
+                             "the sum of squares would overflow float64")
+    else:
+        # a retained periodogram ordinate is at most half its block's sum of
+        # squares (Parseval, with its conjugate ordinate), so the sum of
+        # squares bounds every entry of the neighbour search over a pair's
+        # p + q columns; below this limit its squared distances stay finite
+        limit = np.full(len(used), np.inf)
+        for a, b in config.pairs:
+            chans = config.regions[a] + config.regions[b]
+            for ch in chans:
+                k = labels.index(ch)
+                limit[k] = min(limit[k], _square_safe_magnitude(len(chans)))
+        _reject_overflow(power, labels, "channel", "squared distances between "
+                         "their periodograms may overflow float64", limit)
     return TimeSeriesMatrix(data=data, fs=ts.fs, labels=ts.labels), config
 
 
@@ -193,15 +211,16 @@ def _reject_constant(data: np.ndarray, labels, why: str) -> None:
         raise DegenerateRanksError(f"constant channel(s) {flat} {why}")
 
 
-def _reject_overflow(reach: np.ndarray, labels, noun: str, what: str) -> None:
-    """Raise a data error naming every column whose ``reach`` is not finite.
+def _reject_overflow(reach: np.ndarray, labels, noun: str, why: str,
+                     limit=np.inf) -> None:
+    """Raise a data error naming every column whose ``reach`` is not below ``limit``.
 
     ``reach`` bounds, per column, the largest magnitude the command computes
     from it; an overflow there would turn into inf, NaN or a silent 0.
     """
-    big = [labels[i] for i in np.flatnonzero(~np.isfinite(reach))]
+    big = [labels[i] for i in np.flatnonzero(~(reach < limit))]
     if big:
-        raise DataError(f"{noun}(s) {big} too large: {what} would overflow float64")
+        raise DataError(f"{noun}(s) {big} too large: {why}")
 
 
 def _parse_bands(spec: str | None, freqs: np.ndarray) -> tuple[FrequencyBand, ...]:
@@ -374,7 +393,8 @@ def cmd_compare(args) -> int:
     # twice the sum of the pooled magnitudes
     with np.errstate(over="ignore"):
         reach = 2 * (np.abs(table_a).sum(axis=0) + np.abs(table_b).sum(axis=0))
-    _reject_overflow(reach, feats_a, "feature", "the sum of magnitudes")
+    _reject_overflow(reach, feats_a, "feature",
+                     "the sum of magnitudes would overflow float64")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -259,12 +259,17 @@ def _nn_exhaustive(sq: np.ndarray) -> NeighborCandidates:
     return NeighborCandidates(n_of, tied)
 
 
+def _square_safe_magnitude(d: int) -> float:
+    """Entry magnitude from which `_squares_may_overflow` holds for d columns."""
+    return _SQRT_MAX / (4 * np.sqrt(d))
+
+
 def _squares_may_overflow(v: np.ndarray) -> bool:
     """Whether a squared distance between rows of ``v`` may reach inf.
 
     Each is below d (2 max|v|)**2; the test keeps a factor of four in hand.
     """
-    return bool(np.abs(v).max() >= _SQRT_MAX / (4 * np.sqrt(v.shape[1])))
+    return bool(np.abs(v).max() >= _square_safe_magnitude(v.shape[1]))
 
 
 def _contract_sq(v: np.ndarray) -> np.ndarray:
@@ -445,25 +450,38 @@ def xi_null(n: int, seed: int = 0) -> float:
 
 
 def _xi_null_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` i.i.d. null draws of xi, vectorised; see `xi_null`."""
+    """``count`` i.i.d. null draws of xi, vectorised; see `xi_null`.
+
+    The generator's stream is part of every stored ensemble: draws come in
+    chunks of ``4_000_000 // n`` rows, and each chunk draws the keys of all its
+    rows before any of their neighbour ranks.  So a chunk runs in two passes
+    over row blocks of about 2**16 entries.  The first ranks each block's keys
+    into one ``(chunk, n)`` array of the smallest unsigned type that holds
+    ``n``; the second draws the block's neighbour ranks and finishes its draws.
+    Split across blocks, ``random`` and ``integers`` yield the values of one
+    call (the bit generator keeps the spare half of a 64-bit word that
+    ``integers`` below 2**32 leaves), so no float or int64 array larger than a
+    block is ever built.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     out = np.empty(count, dtype=np.float64)
     # over a permutation of 1..n, sum(l0**2) and the denominator are constants of n
     sum_l2 = n * (n + 1) * (2 * n + 1) // 6
     den = n * n * (n + 1) // 2 - sum_l2
-    ranks = np.arange(1, n + 1, dtype=np.int64)
-    # the chunk size and the draw order fix the generator's stream
+    ranks = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
     chunk = max(1, 4_000_000 // n)
-    done = 0
-    while done < count:
+    block = max(1, 2**16 // n)
+    r0 = np.empty((min(chunk, count), n), dtype=ranks.dtype)
+    for done in range(0, count, chunk):
         m = min(chunk, count - done)
-        # r0 ranks the keys, so the row of rank k is order[k - 1] and
-        # sum(min(r0, r0_nn)) is the sum over k of min(k, r0_nn[order[k - 1]])
-        order = rng.random((m, n)).argsort(axis=1)
-        r0_nn = rng.integers(1, n + 1, size=(m, n), dtype=np.int64)
-        nn_by_rank = np.take_along_axis(r0_nn, order, axis=1)
-        num = n * np.minimum(nn_by_rank, ranks, out=nn_by_rank).sum(axis=1) - sum_l2
-        out[done:done + m] = num / den
-        done += m
+        blocks = [(a, min(a + block, m)) for a in range(0, m, block)]
+        for a, b in blocks:
+            # the ranks of the keys: r0[i, order[i, k - 1]] = k
+            order = rng.random((b - a, n)).argsort(axis=1)
+            np.put_along_axis(r0[a:b], order, ranks, axis=1)
+        for a, b in blocks:
+            r0_nn = rng.integers(1, n + 1, size=(b - a, n), dtype=np.int64)
+            num = n * np.minimum(r0[a:b], r0_nn, out=r0_nn).sum(axis=1) - sum_l2
+            out[done + a:done + b] = num / den
     return out

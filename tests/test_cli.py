@@ -37,6 +37,11 @@ def write_csv(path, labels, data):
         w.writerows(np.asarray(data).tolist())
 
 
+def search_bound(d):
+    """Entry magnitude from which squared distances over d columns may overflow."""
+    return np.sqrt(np.finfo(float).max) / (4 * np.sqrt(d))
+
+
 def add_byte_order_mark(path):
     path = Path(path)
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
@@ -726,8 +731,9 @@ class TestRefusedInputs:
         assert err.startswith("nvc: data error: feature(s) ['f0'] too large")
 
     @pytest.mark.parametrize("command, bound", [
-        # block_len * sum(x**2) for the periodogram; sum(x**2)**2 for pbc
-        ("analyze", lambda s: np.finfo(float).max / 2 / 100 / s),
+        # sum(x**2) against the neighbour search's bound for p + q = 4 columns
+        # (analyze); sum(x**2)**2 for pbc
+        ("analyze", lambda s: search_bound(4) / 2 / s),
         ("baseline", lambda s: np.sqrt(np.finfo(float).max / 4) / s),
     ], ids=["analyze", "baseline"])
     def test_recording_just_inside_the_bound_runs(self, command, bound, tmp_path):
@@ -745,8 +751,7 @@ class TestRefusedInputs:
                          "--no-standardize", *extra, "--out-dir", str(outs[name])]) \
                 == EXIT_OK
         if command == "analyze":
-            # the scaled periodograms' squared distances overflow, as the
-            # estimator's contract allows; every estimate stays finite
+            # the scaled periodograms' squared distances stay finite
             got = json.loads((outs["scaled"] / "profile_RA-RB.json").read_text())
             assert np.isfinite(got["estimate"]).all()
         else:
@@ -756,6 +761,65 @@ class TestRefusedInputs:
                 got = [r[-1] for r in csv.reader(open(outs["scaled"] / name))][1:]
                 np.testing.assert_allclose(np.array(got, float), np.array(want, float),
                                            rtol=1e-9)
+
+    def test_recording_past_the_search_bound(self, tmp_path, capsys):
+        # the 1.7e151 scale of the former bound, block_len * sum(x**2) finite:
+        # every squared distance of its periodograms overflowed to a tie at inf
+        data = np.random.default_rng(3).standard_normal((3000, 4))
+        data *= np.sqrt(np.finfo(float).max / 2 / 100 / (data * data).sum(axis=0).max())
+        rec = tmp_path / "rec.csv"
+        write_csv(rec, ["A1", "A2", "B1", "B2"], data)
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"RA": ["A1", "A2"], "RB": ["B1", "B2"]})
+        rc, err = self.run(["analyze", "--input", str(rec), "--regions", str(reg),
+                            "--no-standardize", "--out-dir", str(tmp_path / "out")],
+                           capsys)
+        assert rc == EXIT_DATA
+        assert err == ("nvc: data error: channel(s) ['A1', 'A2', 'B1', 'B2'] too large: "
+                       "squared distances between their periodograms may overflow "
+                       "float64\n")
+
+    def test_power_of_two_scale_inside_the_search_bound(self, tmp_path):
+        # scaling by a power of two is exact up to the bound, so are the estimates
+        data = np.random.default_rng(3).standard_normal((3000, 4))
+        scale = 2.0 ** np.floor(np.log2(np.sqrt(
+            search_bound(4) / (data * data).sum(axis=0).max())))
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"RA": ["A1", "A2"], "RB": ["B1", "B2"]})
+        for name, factor in [("plain", 1.0), ("scaled", scale)]:
+            write_csv(tmp_path / f"{name}.csv", ["A1", "A2", "B1", "B2"], data * factor)
+            assert main(["analyze", "--input", str(tmp_path / f"{name}.csv"),
+                         "--regions", str(reg), "--no-standardize", "--null-reps", "20",
+                         "--out-dir", str(tmp_path / name)]) == EXIT_OK
+        assert (tmp_path / "scaled" / "profiles.csv").read_bytes() == \
+            (tmp_path / "plain" / "profiles.csv").read_bytes()
+
+
+class TestChannelsOutsideRegions:
+    """A channel no region lists is neither checked nor rescaled."""
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("analyze", ("profiles.csv",)), ("baseline", ("pbc.csv", "rbp.csv"))])
+    @pytest.mark.parametrize("standardize", ["--standardize", "--no-standardize"])
+    @pytest.mark.parametrize("unused", ["constant", "overflowing"])
+    def test_outputs_as_without_the_channel(self, command, outputs, standardize,
+                                            unused, tmp_path):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((3000, 2))
+        z = np.full(3000, 7.0) if unused == "constant" \
+            else 1e300 * rng.standard_normal(3000)
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"RA": ["a1"], "RB": ["b1"]})
+        write_csv(tmp_path / "two.csv", ["a1", "b1"], data)
+        write_csv(tmp_path / "three.csv", ["a1", "b1", "z"], np.column_stack([data, z]))
+        extra = ["--null-reps", "20"] if command == "analyze" else []
+        for name in ("two", "three"):
+            assert main([command, "--input", str(tmp_path / f"{name}.csv"),
+                         "--regions", str(reg), standardize, *extra,
+                         "--out-dir", str(tmp_path / name)]) == EXIT_OK
+        for name in outputs:
+            assert (tmp_path / "three" / name).read_bytes() == \
+                (tmp_path / "two" / name).read_bytes()
 
 
 class TestFanOut:

@@ -333,6 +333,32 @@ class TestXiNull:
         with pytest.raises(ValueError):
             xi_null(1)
 
+    @pytest.mark.parametrize("n, count", [
+        (115, 2 * 569 + 100),  # mid-block inside the first chunk
+        (1000, 4000 + 2 * 65 + 10),  # mid-block inside the second chunk
+        (255, 600),  # the largest n whose ranks fit uint8
+        (256, 600),  # the smallest n whose ranks need uint16
+        (70_000, 5),  # row blocks of a single row
+    ])
+    def test_streamed_batch_equals_the_definition(self, n, count):
+        # chunks hold 4_000_000 // n rows and row blocks 2**16 // n (at least 1)
+        want = xi_null_reference(n, count, np.random.default_rng(n))
+        got = rank_core._xi_null_batch(n, count, np.random.default_rng(n))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [115, 595])
+    def test_batch_memory_stays_below_a_chunk(self, n):
+        # one chunk of float keys alone takes 32 MiB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            rank_core._xi_null_batch(n, 100_000, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
