@@ -171,8 +171,8 @@ def _load_recording(args, need: int, why: str) -> tuple[TimeSeriesMatrix, Region
     labels = [ts.labels[i] for i in used]
     if args.standardize:
         _reject_constant(data[:, used], labels, "cannot be standardized")
-        # the moments of the whole matrix, whose reductions run in the same
-        # order whichever columns are kept
+        # moments over the whole matrix: numpy lays ``data[:, used]`` out
+        # column-major and would sum its columns in another order
         with np.errstate(over="ignore", invalid="ignore"):
             mean, std = data.mean(axis=0)[used], data.std(axis=0)[used]
         _reject_overflow(std, labels, "channel",
