@@ -15,32 +15,39 @@ re-implementation that follows it reproduces this module's output bit for bit.
 Neighbour search runs in two steps.  `NeighborSearch`, built on one matrix,
 needs no seed: ``candidates(cols)`` returns, for a subset of its columns,
 each row's nearest other row and, for rows with several exact minimisers,
-their candidates; `NeighborCandidates.resolve` then draws for one seed.  The
-chained statistic in `vector_measure` searches once per predictor set and
-resolves ties per term.  The search picks the backend by row count first:
-below ``_EXHAUSTIVE_MAX_N`` rows every column set, a single column included,
-is scanned in its squared-distance matrix.  From there on a single column
-takes a sorted scan and more columns a k-d tree; both screen for the nearest
-row and re-check near-ties with the exact metric over a window (sorted
-positions) or a ball (tree) that holds every possible minimiser.  Squares
-that overflow are inf and tie with one another, never with the row itself;
-the tree's ball query fails where squared distances may overflow, so such
-column sets take the matrix scan whatever their row count.  The row-count
-threshold, 160, is where matrix and tree cost the same for both the chained
-statistic and a single search (README, "Performance").  `scipy.spatial` is
-imported by the first k-d tree search, so a run below 160 rows, and every
-null draw, needs numpy alone.  The matrix is the
-contract's row sum over C-contiguous rows.  numpy sums at most seven terms
-strictly left to right, so up to seven columns the same matrix results from
-adding per-column squared differences in column order, and column sets that
-share a prefix share its partial sum; numpy sums eight or more terms
-pairwise, so wider matrices are computed by the contract expression itself.
+their candidates; `NeighborCandidates.resolve` then draws for one seed.
+``search_all(sets)`` searches a list of column sets in one sweep; the chained
+statistic in `vector_measure` sweeps its sorted predictor sets once per
+frequency and resolves ties per term.  The search picks the backend by row
+count first: below ``_EXHAUSTIVE_MAX_N`` rows every column set, a single
+column included, is scanned in its squared-distance matrix.  From there on a
+single column takes a sorted scan and more columns a k-d tree; both screen
+for the nearest row and re-check near-ties with the exact metric over a
+window (sorted positions) or a ball (tree) that holds every possible
+minimiser.  Squares that overflow are inf and tie with one another, never
+with the row itself; the tree's ball query fails where squared distances may
+overflow, so such column sets take the matrix scan whatever their row count.
+The row-count threshold, 160, is where matrix and tree cost the same for a
+single search; the chained statistic's sweep keeps the matrix cheaper up to
+300-400 rows (README, "Performance").  `scipy.spatial` is imported by the
+first k-d tree search, so a run below 160 rows, and every null draw, needs
+numpy alone.  The matrix is the contract's row sum over C-contiguous rows.
+numpy sums at most seven terms strictly left to right, so up to seven
+columns the same matrix results from adding per-column squared differences
+in column order, and column sets that share a prefix share its partial sum.
+A sweep keeps those sums in one workspace per thread, reused by every
+sweep: one matrix per column and a chain of prefix sums, 1.1 MB at 115 rows
+and six columns, small enough to stay in cache.  Sorted sets walk the chain
+depth first, so each prefix is summed once and each set is scanned right
+after its sum is formed.  numpy sums eight or more terms pairwise, so wider
+matrices are computed by the contract expression itself.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import hashlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +67,8 @@ __all__ = [
 ]
 
 # below this row count the k-d tree costs more than a squared-distance scan
-# (measured crossover of the chained statistic and of one search, d = 3)
+# (measured crossover of one search, d = 3; the chained statistic's sweep,
+# p = q = 3, crosses over later, at 300-400 rows)
 _EXHAUSTIVE_MAX_N = 160
 # relative gap under which two neighbor distances are re-checked exactly
 _NEAR_TIE_RTOL = 1e-12
@@ -158,6 +166,23 @@ def compute_ranks(u) -> tuple[np.ndarray, np.ndarray]:
         return r, n + 1 - r
     r = np.searchsorted(su, u, side="right").astype(np.int64)
     l = (n - np.searchsorted(su, u, side="left")).astype(np.int64)
+    return r, l
+
+
+def _row_ranks(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`compute_ranks` of every row of a finite ``(m, n)`` matrix.
+
+    One stable sort ranks every row; a row with ties takes `compute_ranks`.
+    """
+    m, n = u.shape
+    rows = np.arange(m)[:, None]
+    order = np.argsort(u, axis=1, kind="stable")
+    su = u[rows, order]
+    r = np.empty((m, n), dtype=np.int64)
+    r[rows, order] = np.arange(1, n + 1)
+    l = n + 1 - r
+    for i in np.flatnonzero((su[:, 1:] == su[:, :-1]).any(axis=1)):
+        r[i], l[i] = compute_ranks(u[i])
     return r, l
 
 
@@ -310,59 +335,100 @@ class NeighborSearch:
     """Seed-free neighbour searches over column subsets of one finite matrix.
 
     ``candidates(cols)`` searches the rows of ``z[:, cols]``, summing squared
-    differences in the order of ``cols``, once per distinct ``cols``.
+    differences in the order of ``cols``, once per distinct ``cols``;
+    `search_all` searches a list of column sets in one sweep.
     """
 
     def __init__(self, z: np.ndarray):
         self.z = np.asarray(z, dtype=np.float64)
         self._found: dict = {}
-        self._sums: dict = {}
         # squares that overflow are inf, as in the contract; silencing the
         # warning slows every ufunc call, so only such data pays for it.  An
-        # errstate can be entered only once, so each search makes its own.
+        # errstate can be entered only once, so each sweep makes its own.
         self._overflow = (functools.partial(np.errstate, over="ignore")
                           if _squares_may_overflow(self.z) else contextlib.nullcontext)
 
     def candidates(self, cols) -> NeighborCandidates:
         cols = tuple(cols)
         if cols not in self._found:
-            with self._overflow():
-                self._found[cols] = self._search(cols)
+            self._found[cols] = self.search_all([cols])[0]
         return self._found[cols]
 
-    def _search(self, cols: tuple[int, ...]) -> NeighborCandidates:
-        """The one backend choice, by row count first; once per column set.
+    def search_all(self, sets) -> list[NeighborCandidates]:
+        """`candidates` of each column set, in order; the one backend choice.
 
-        Below `_EXHAUSTIVE_MAX_N` rows every set, a single column included, is
-        scanned in its squared-distance matrix; from there on one column takes
-        the sorted scan and more the k-d tree, both re-checking near-ties exactly.
+        From `_EXHAUSTIVE_MAX_N` rows on, one column takes the sorted scan and
+        more the k-d tree, both re-checking near-ties exactly.  Below it every
+        set is scanned in its squared-distance matrix.  Sets of at most
+        `_MAX_ACCUMULATED_WIDTH` columns are summed column by column into a
+        chain of prefix sums, one slot per prefix length, in one reused
+        workspace; a set recomputes only the prefixes longer than the one it
+        shares with the set before it.  So a lexicographically sorted list
+        walks its prefixes depth first, and each set is scanned right after
+        its sum is formed.
         """
-        if self.z.shape[0] >= _EXHAUSTIVE_MAX_N:
-            if len(cols) == 1:
-                return _nn_sorted(self.z[:, cols[0]])
-            return _nn_kdtree(np.ascontiguousarray(self.z[:, cols]))
-        if len(cols) <= _MAX_ACCUMULATED_WIDTH:
-            return _nn_exhaustive(self._sq(cols))
-        # numpy sums a row of eight or more entries pairwise only when the row
-        # is contiguous in memory, as in the contract; a column selection or
-        # column-major input would be summed left to right
-        return _nn_exhaustive(_contract_sq(np.ascontiguousarray(self.z[:, cols])))
+        sets = [tuple(cols) for cols in sets]
+        z = self.z
+        n = z.shape[0]
+        with self._overflow():
+            if n >= _EXHAUSTIVE_MAX_N:
+                return [_nn_sorted(z[:, cols[0]]) if len(cols) == 1
+                        else _nn_kdtree(np.ascontiguousarray(z[:, cols]))
+                        for cols in sets]
+            narrow = [cols for cols in sets if len(cols) <= _MAX_ACCUMULATED_WIDTH]
+            if narrow:
+                used = sorted({c for cols in narrow for c in cols})
+                single = dict(zip(used, range(len(used))))
+                # one matrix per column, then one chain slot per prefix
+                # length past the first
+                ws = _workspace(len(used) + max(map(len, narrow)) - 1, n)
+                zu = z[:, used].T
+                singles = ws[:len(used)]
+                np.subtract(zu[:, :, None], zu[:, None, :], out=singles)
+                np.square(singles, out=singles)
+                # every diagonal, and so every sum's
+                singles.reshape(len(used), n * n)[:, ::n + 1] = np.inf
+                chain = ws[len(used):]
 
-    def _sq(self, cols: tuple[int, ...]) -> np.ndarray:
-        """Squared distances over ``cols``, summed column by column in order.
+            def prefix(cols, k):
+                """Squared distances over ``cols[:k + 1]``."""
+                return chain[k - 1] if k else ws[single[cols[0]]]
 
-        Every partial sum is kept, so column sets sharing a prefix share its work.
-        """
-        sq = self._sums.get(cols)
-        if sq is None:
-            if len(cols) == 1:
-                z = self.z[:, cols[0]]
-                sq = (z[:, None] - z[None, :]) ** 2
-                np.fill_diagonal(sq, np.inf)  # and so in every sum
-            else:
-                sq = self._sq(cols[:-1]) + self._sq(cols[-1:])
-            self._sums[cols] = sq
-        return sq
+            out = []
+            held: tuple[int, ...] = ()  # the set whose prefixes the chain holds
+            for cols in sets:
+                if len(cols) > _MAX_ACCUMULATED_WIDTH:
+                    # numpy sums a row of eight or more entries pairwise only
+                    # when the row is contiguous in memory, as in the
+                    # contract; a column selection would be summed in order
+                    out.append(_nn_exhaustive(
+                        _contract_sq(np.ascontiguousarray(z[:, cols]))))
+                    continue
+                shared = 0
+                while shared < min(len(cols), len(held)) and cols[shared] == held[shared]:
+                    shared += 1
+                for k in range(max(shared, 1), len(cols)):
+                    np.add(prefix(cols, k - 1), ws[single[cols[k]]], out=chain[k - 1])
+                held = cols
+                out.append(_nn_exhaustive(prefix(cols, len(cols) - 1)))
+        return out
+
+
+_local = threading.local()
+
+
+def _workspace(slots: int, n: int) -> np.ndarray:
+    """A ``(slots, n, n)`` float64 scratch array, reused by every sweep.
+
+    One buffer per thread, grown when a sweep needs more.  Reuse keeps it in
+    cache; a buffer allocated afresh for each sweep faulted in no more pages
+    but made the chained statistic slower (README, "Performance").
+    """
+    size = slots * n * n
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _local.buf = np.empty(size)
+    return buf[:size].reshape(slots, n, n)
 
 
 def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
@@ -400,12 +466,10 @@ def _xi_denominator(l: np.ndarray) -> np.int64:
     return den
 
 
-def _xi_ratio(r: np.ndarray, l: np.ndarray, r_nn: np.ndarray, den=None) -> float:
+def _xi_ratio(r: np.ndarray, l: np.ndarray, r_nn: np.ndarray) -> float:
     n = r.shape[0]
     num = (n * np.minimum(r, r_nn) - l * l).sum()
-    if den is None:
-        den = _xi_denominator(l)
-    return float(num / den)
+    return float(num / _xi_denominator(l))
 
 
 def xi_from_ranks(triple: RankTriple) -> float:

@@ -12,16 +12,21 @@ predictor columns) and seeded from that key, so identical terms appearing
 under several column orderings are computed once and the whole computation is
 reproducible term by term.
 
-One `_TermGraph` per feature pair evaluates every term of `t_n`, `t_n_bar`
-and `t_n_star`.  Ranks and the xi denominator are computed once per response
-column.  One `rank_core.NeighborSearch` over the label-ordered columns serves
-every predictor set, searching each distinct set once for all terms and both
-directions of `t_n_star`.  Exact ties are then resolved per term with that
-term's seed, derived only when the search found a tie, so every term equals
-``xi_n(response, predictors, seed=term_seed(...))`` bit for bit.
+The terms of `t_n`, `t_n_bar` and `t_n_star` are compiled once per pair
+shape into a `_TermPlan`, cached by ``(p, q)`` and the orderings of each
+direction: the term keys, the distinct predictor sets in lexicographic
+order, the response columns, and the term indices of every ordering's chain.
+Each frequency then runs a fixed sequence of array operations: one
+`rank_core.NeighborSearch.search_all` sweep over the sorted sets (shared by
+all terms and both directions of `t_n_star`), one stable sort ranking every
+response column, one integer reduction for every term's xi ratio, and the
+chains as vector sums across orderings.  Exact ties are resolved per term
+with that term's seed, derived only when the search found a tie, so every
+term equals ``xi_n(response, predictors, seed=term_seed(...))`` bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
@@ -151,66 +156,115 @@ def term_seed(seed: int, direction: str, response: str, predictors) -> int:
     return derive_seed(seed, direction, response, tuple(sorted(predictors)))
 
 
-class _TermGraph:
-    """Every xi term of one pair's statistic, evaluated from shared pieces.
+class _TermPlan:
+    """Every xi term of one pair shape's statistic, compiled once and cached.
 
+    ``sides`` lists, per direction of the statistic, its response orderings.
     Columns are indexed by the position of their label (``x0 .. y{q-1}``) in
     string order, so a sorted index tuple is a label-sorted predictor set:
     the summation order of the squared distances and the ``repr`` entering
-    `term_seed` both follow it.  Ranks are computed once per response column,
-    the neighbour search once per predictor set (shared by all terms and both
-    directions), and a term's seed is derived only if its search has ties.
+    `term_seed` both follow it.  The plan holds:
+
+    * ``terms``, the keys ``(direction, response, predictors)`` in first-use
+      order (an ordering's numerator term before its denominator term);
+    * ``sets``, the distinct predictor sets in lexicographic order, and
+      ``responses``, the response columns;
+    * per term, the index of its set and of its response;
+    * per side, the term indices of each ordering's numerator and denominator
+      chains, one row per ordering.
     """
 
-    def __init__(self, pair: FeatureMatrixPair, seed: int):
-        labels = [f"x{i}" for i in range(pair.p)] + [f"y{i}" for i in range(pair.q)]
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        self.labels = [labels[c] for c in order]
-        self.search = rank_core.NeighborSearch(np.hstack([pair.x, pair.y])[:, order])
-        pos = {c: i for i, c in enumerate(order)}
-        self.x_cols = tuple(pos[i] for i in range(pair.p))
-        self.y_cols = tuple(pos[pair.p + i] for i in range(pair.q))
-        self.seed = seed
-        self._ranks: dict = {}
-        self._terms: dict = {}
+    def __init__(self, p: int, q: int, sides):
+        labels = [f"x{i}" for i in range(p)] + [f"y{i}" for i in range(q)]
+        self.order = sorted(range(p + q), key=labels.__getitem__)
+        self.labels = [labels[c] for c in self.order]
+        pos = {c: i for i, c in enumerate(self.order)}
+        x_cols = tuple(pos[i] for i in range(p))
+        y_cols = tuple(pos[p + i] for i in range(q))
+        blocks = {"y_on_x": (x_cols, y_cols), "x_on_y": (y_cols, x_cols)}
+        index: dict = {}
 
-    def xi(self, direction: str, response: int, predictors: tuple[int, ...]) -> float:
-        preds = tuple(sorted(predictors))
-        key = (direction, response, preds)
-        val = self._terms.get(key)
-        if val is None:
-            r, l, den = self._ranks_of(response)
-            nb = self.search.candidates(preds)
-            n_of = nb.resolve(term_seed(self.seed, direction, self.labels[response],
-                                        [self.labels[c] for c in preds])) \
-                if nb.tied else nb.n_of
-            val = self._terms[key] = rank_core._xi_ratio(r, l, r[n_of], den)
-        return val
+        def term(direction, response, predictors):
+            return index.setdefault((direction, response, tuple(sorted(predictors))),
+                                    len(index))
 
-    def _ranks_of(self, col: int):
-        """``(r, l)`` and the xi denominator of one response column."""
-        rld = self._ranks.get(col)
-        if rld is None:
-            r, l = rank_core.compute_ranks(self.search.z[:, col])
-            rld = self._ranks[col] = (r, l, rank_core._xi_denominator(l))
-        return rld
+        self.chains = []
+        for direction, perms in sides:
+            pred_cols, resp_cols = blocks[direction]
+            num, den = [], []
+            for perm in perms:
+                order = tuple(resp_cols[i] for i in perm)
+                num_row, den_row = [], []
+                for ell, resp in enumerate(order):
+                    num_row.append(term(direction, resp, pred_cols + order[:ell]))
+                    if ell >= 1:
+                        den_row.append(term(direction, resp, order[:ell]))
+                num.append(num_row)
+                den.append(den_row)
+            self.chains.append((np.array(num, dtype=np.intp), np.array(den, dtype=np.intp)))
+        self.terms = list(index)
+        self.sets = sorted({preds for _, _, preds in self.terms})
+        self.responses = sorted({resp for _, resp, _ in self.terms})
+        set_of = {preds: i for i, preds in enumerate(self.sets)}
+        resp_of = {resp: i for i, resp in enumerate(self.responses)}
+        self.term_set = np.array([set_of[preds] for _, _, preds in self.terms])
+        self.term_resp = np.array([resp_of[resp] for _, resp, _ in self.terms])
+
+    def term_values(self, pair: FeatureMatrixPair, seed: int) -> np.ndarray:
+        """The xi value of every term on one pair, in the order of ``terms``.
+
+        One sweep searches every predictor set, one stable sort ranks every
+        response column, and one integer reduction gives every ratio.  A
+        term whose set has exact ties resolves them with its own seed, so
+        each value equals ``xi_n(response, predictors, seed=term_seed(...))``
+        bit for bit.  Raises `rank_core.DegenerateRanksError` when a response
+        column is constant.
+        """
+        z = np.hstack([pair.x, pair.y])[:, self.order]
+        n = z.shape[0]
+        r, l = rank_core._row_ranks(z[:, self.responses].T)
+        den = (l * (n - l)).sum(axis=1)
+        if not den.all():
+            raise rank_core.DegenerateRanksError("all response values are tied")
+        found = rank_core.NeighborSearch(z).search_all(self.sets)
+        n_of = np.stack([f.n_of for f in found])[self.term_set]
+        tied = np.array([bool(f.tied) for f in found])
+        for t in np.flatnonzero(tied[self.term_set]):
+            direction, resp, preds = self.terms[t]
+            n_of[t] = found[self.term_set[t]].resolve(term_seed(
+                seed, direction, self.labels[resp], [self.labels[c] for c in preds]))
+        r_t, l_t = r[self.term_resp], l[self.term_resp]
+        r_nn = r[self.term_resp[:, None], n_of]
+        num = (n * np.minimum(r_t, r_nn) - l_t * l_t).sum(axis=1)
+        return num / den[self.term_resp]
+
+    def side_means(self, pair: FeatureMatrixPair, seed: int) -> list[float]:
+        """Per side, the mean of the chained statistic over its orderings."""
+        vals = self.term_values(pair, seed)
+        means = []
+        for num_idx, den_idx in self.chains:
+            # summed term by term, left to right, as the chain is defined
+            num_sum = np.zeros(num_idx.shape[0])
+            for col in num_idx.T:
+                num_sum += vals[col]
+            den_sum = np.zeros(num_idx.shape[0])
+            for col in den_idx.T:
+                den_sum += vals[col]
+            # Each xi term is at most 1: its numerator sum(n*min(r, r_nn) - l^2)
+            # is at most sum(n*r - l^2), which equals the denominator
+            # sum(l*(n-l)) because sum(r) == sum(l) (both count the ordered
+            # pairs with u_i <= u_j).  The q-1 terms of den_sum thus leave
+            # q - den_sum >= 1, in floats as well.  The form below is
+            # algebraically 1 - (q - num_sum)/(q - den_sum) and collapses to
+            # the single xi value exactly when q == 1.
+            q = num_idx.shape[1]
+            means.append(float(np.mean((num_sum - den_sum) / (q - den_sum))))
+        return means
 
 
-def _t_for_order(graph: _TermGraph, direction: str, x_cols, y_order) -> float:
-    q = len(y_order)
-    num_sum = 0.0
-    den_sum = 0.0
-    for ell, resp in enumerate(y_order):
-        num_sum += graph.xi(direction, resp, x_cols + y_order[:ell])
-        if ell >= 1:
-            den_sum += graph.xi(direction, resp, y_order[:ell])
-    # Each xi term is at most 1: its numerator sum(n*min(r, r_nn) - l^2) is at
-    # most sum(n*r - l^2), which equals the denominator sum(l*(n-l)) because
-    # sum(r) == sum(l) (both count the ordered pairs with u_i <= u_j).  The
-    # q-1 terms of den_sum thus leave q - den_sum >= 1, in floats as well.
-    # The form below is algebraically 1 - (q - num_sum)/(q - den_sum) and
-    # collapses to the single xi value exactly when q == 1.
-    return (num_sum - den_sum) / (q - den_sum)
+@functools.lru_cache(maxsize=128)
+def _term_plan(p: int, q: int, sides) -> _TermPlan:
+    return _TermPlan(p, q, sides)
 
 
 def t_n(pair: FeatureMatrixPair, seed: int = 0) -> float:
@@ -219,14 +273,8 @@ def t_n(pair: FeatureMatrixPair, seed: int = 0) -> float:
     For q = 1 this is exactly ``xi_n(y, x)``.  Each xi term is at most 1, so
     the response-only denominator ``q - sum`` never drops below 1.
     """
-    graph = _TermGraph(pair, seed)
-    return _t_for_order(graph, "y_on_x", graph.x_cols, graph.y_cols)
-
-
-def _t_bar(graph: _TermGraph, direction: str, x_cols, y_cols, plan) -> float:
-    vals = [_t_for_order(graph, direction, x_cols, tuple(y_cols[i] for i in perm))
-            for perm in plan.perms]
-    return float(np.mean(vals))
+    sides = (("y_on_x", (tuple(range(pair.q)),)),)
+    return _term_plan(pair.p, pair.q, sides).side_means(pair, seed)[0]
 
 
 def t_n_bar(pair: FeatureMatrixPair, plan: PermutationPlan | None = None,
@@ -236,8 +284,8 @@ def t_n_bar(pair: FeatureMatrixPair, plan: PermutationPlan | None = None,
         plan = _default_plan(pair.q, None, seed)
     if plan.q != pair.q:
         raise ValueError(f"plan is for q={plan.q}, pair has q={pair.q}")
-    graph = _TermGraph(pair, seed)
-    return _t_bar(graph, "y_on_x", graph.x_cols, graph.y_cols, plan)
+    sides = (("y_on_x", plan.perms),)
+    return _term_plan(pair.p, pair.q, sides).side_means(pair, seed)[0]
 
 
 def t_n_star(pair: FeatureMatrixPair, plan_x: PermutationPlan | None = None,
@@ -249,7 +297,6 @@ def t_n_star(pair: FeatureMatrixPair, plan_x: PermutationPlan | None = None,
         plan_x = _default_plan(pair.p, None, seed)
     if plan_y.q != pair.q or plan_x.q != pair.p:
         raise ValueError("plan dimensions do not match the pair")
-    graph = _TermGraph(pair, seed)
-    forward = _t_bar(graph, "y_on_x", graph.x_cols, graph.y_cols, plan_y)
-    reverse = _t_bar(graph, "x_on_y", graph.y_cols, graph.x_cols, plan_x)
+    sides = (("y_on_x", plan_y.perms), ("x_on_y", plan_x.perms))
+    forward, reverse = _term_plan(pair.p, pair.q, sides).side_means(pair, seed)
     return max(forward, reverse)

@@ -199,10 +199,54 @@ class TestNeighborSearch:
             want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=1)
             assert np.array_equal(search.candidates(cols).resolve(1), want)
 
+    @pytest.mark.parametrize("n", [60, rank_core._EXHAUSTIVE_MAX_N + 5])
+    def test_sweep_matches_brute_force(self, n):
+        # one sweep over sorted sets that share prefixes, narrow and wide
+        # (eight and nine columns are summed pairwise, as the contract does)
+        z = np.random.default_rng(n + 1).integers(0, 4, size=(n, 9)) * 0.1
+        sets = sorted([(0,), (0, 1), (0, 1, 2), (0, 1, 3), (0, 2), (1,), (1, 2, 3, 4),
+                       (1, 2, 3, 5), (2, 4, 6, 8), tuple(range(7)), tuple(range(8)),
+                       tuple(range(9)), (3, 4, 5, 6, 7, 8), (8,)])
+        found = NeighborSearch(z).search_all(sets)
+        for cols, cand in zip(sets, found):
+            want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=2)
+            assert np.array_equal(cand.resolve(2), want)
+
+    def test_rows_whose_every_square_overflows(self):
+        # at 1e154 a gap of 2e154 squares past the largest float64: row 0's
+        # best squared distance is inf in every set, so the tie check hands
+        # it to the inf-row branch, which draws among all other rows
+        r = np.random.default_rng(6)
+        z = np.round(r.standard_normal((40, 3)), 1) * 1e150 - 1e154
+        z[0] = 1e154
+        z[1] = z[2]
+        sets = [(0,), (0, 1), (0, 1, 2), (0, 2), (1, 2), (2,)]
+        found = NeighborSearch(z).search_all(sets)
+        for cols, cand in zip(sets, found):
+            want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=3)
+            assert np.array_equal(cand.resolve(3), want)
+            assert 0 in dict(cand.tied)
+        assert np.array_equal(nearest_neighbors(z, seed=3).n_of,
+                              brute_force_neighbors(z, seed=3))
+        # with two rows, the other row is a single candidate, never a tie
+        assert nearest_neighbors([[1e154], [-1e154]]).n_of.tolist() == [1, 0]
+
     def test_each_column_set_searched_once(self):
         search = NeighborSearch(np.random.default_rng(0).standard_normal((30, 4)))
         assert search.candidates((0, 2)) is search.candidates([0, 2])
         assert search.candidates((0, 2)) is not search.candidates((2, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 40), st.integers(1, 20),
+       st.integers(0, 2**32 - 1))
+def test_row_ranks_match_counting_oracle(m, n, spread, seed):
+    u = np.random.default_rng(seed).integers(0, spread, size=(m, n)).astype(float)
+    r, l = rank_core._row_ranks(u)
+    # one stable sort for every row, the tied rows re-ranked one by one
+    for row, r_row, l_row in zip(u, r, l):
+        want_r, want_l = counting_ranks(row)
+        assert np.array_equal(r_row, want_r) and np.array_equal(l_row, want_l)
 
 
 class TestXiFromRanks:

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nvcoh import spectral
+from nvcoh.rank_core import derive_seed
 from nvcoh.spectral import (
     CANONICAL_BANDS,
+    BlockPeriodogramTensor,
     BlockTooLongError,
     EmptyBandError,
     FrequencyBand,
@@ -13,6 +21,8 @@ from nvcoh.spectral import (
     nvc_profile,
     retained_indices,
 )
+from nvcoh.vector_measure import make_plan
+from oracles import t_bar_reference, t_reference, t_star_reference
 
 
 def make_ts(data, fs=100.0):
@@ -152,6 +162,67 @@ class TestNvcProfile:
         y = make_ts(rng.standard_normal(2000), fs=50.0)
         with pytest.raises(ValueError):
             nvc_profile(x, y, 100)
+
+    @pytest.mark.parametrize("measure", ["t", "tbar", "tstar"])
+    def test_constant_column_at_one_frequency(self, monkeypatch, measure):
+        # periodograms drawn directly: a response channel constant at one
+        # frequency gives NaN there alone; a predictor channel constant at
+        # another is never ranked under t and tbar, only under tstar
+        n, block_len = 40, 20
+        r = np.random.default_rng(3)
+        values = {"x": r.exponential(size=(n, 2, 9)), "y": r.exponential(size=(n, 2, 9))}
+        values["y"][:, 1, 2] = 0.7
+        values["x"][:, 0, 5] = 0.7
+        freqs = retained_indices(block_len) * 100.0 / block_len
+        monkeypatch.setattr(spectral, "block_periodograms", lambda ts, _: (
+            BlockPeriodogramTensor(values[ts.labels[0][0]], freqs)))
+        x = TimeSeriesMatrix(np.zeros((n * block_len, 2)), 100.0, ("x0", "x1"))
+        y = TimeSeriesMatrix(np.zeros((n * block_len, 2)), 100.0, ("y0", "y1"))
+        prof = nvc_profile(x, y, block_len, measure=measure, seed=4)
+        missing = [2, 5] if measure == "tstar" else [2]
+        assert np.flatnonzero(np.isnan(prof.estimates)).tolist() == missing
+        assert prof.meta["n_degenerate"] == len(missing)
+        perms = make_plan(2).perms
+        for i, k in enumerate(retained_indices(block_len)):
+            if i in missing:
+                continue
+            xi, yi, seed = values["x"][:, :, i], values["y"][:, :, i], derive_seed(4, "freq", int(k))
+            want = {"t": lambda: t_reference(xi, yi, seed),
+                    "tbar": lambda: t_bar_reference(xi, yi, perms, seed),
+                    "tstar": lambda: t_star_reference(xi, yi, perms, perms, seed)}[measure]()
+            assert prof.estimates[i] == want
+
+
+# (blocks, p, q): the matrix scan at three sizes and the k-d tree regime
+_SHAPES = [(30, 2, 3), (80, 3, 1), (12, 4, 4), (170, 1, 2)]
+
+
+def _tstar_profile(shape) -> np.ndarray:
+    n_blocks, p, q = shape
+    data = np.random.default_rng(sum(shape)).standard_normal((n_blocks * 20, p + q))
+    x = TimeSeriesMatrix(data[:, :p], 100.0, tuple(f"a{i}" for i in range(p)))
+    y = TimeSeriesMatrix(data[:, p:], 100.0, tuple(f"b{i}" for i in range(q)))
+    return nvc_profile(x, y, 20, measure="tstar", seed=1).estimates
+
+
+def test_interleaved_shapes_equal_fresh_processes():
+    # term plans are cached across calls, and every sweep reuses one
+    # workspace, which holds the previous sweep's matrices when it starts;
+    # profiles of different shapes, interleaved in one process, equal each
+    # shape's profile as the first call of a new interpreter
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    fresh = []
+    for shape in _SHAPES:
+        code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                "from test_spectral import _tstar_profile\n"
+                f"print(_tstar_profile({shape!r}).tobytes().hex())")
+        proc = subprocess.run([sys.executable, "-c", code, tests], capture_output=True,
+                              text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        fresh.append(bytes.fromhex(proc.stdout.strip()))
+    for i in (0, 2, 1, 3, 2, 0, 3, 1):
+        assert _tstar_profile(_SHAPES[i]).tobytes() == fresh[i]
 
 
 class TestBandSummary:

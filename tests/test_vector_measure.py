@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvcoh import rank_core
-from nvcoh.rank_core import _xi_null_batch, derive_seed, xi_n
+from nvcoh.rank_core import DegenerateRanksError, _xi_null_batch, derive_seed, xi_n
 from nvcoh.vector_measure import (
     FeatureMatrixPair,
     PermutationPlan,
-    _TermGraph,
+    _term_plan,
     make_plan,
     t_n,
     t_n_bar,
@@ -186,19 +186,15 @@ def lattice_pairs(draw):
 def test_xi_terms_at_most_one_and_denominators_at_least_one(pair):
     # sum(r) == sum(l) bounds every xi term by 1, so the response-only
     # denominator q - den_sum of every ordering, both ways, is at least 1
-    graph = _TermGraph(pair, seed=5)
-    for direction, preds, resp_cols in (("y_on_x", graph.x_cols, graph.y_cols),
-                                        ("x_on_y", graph.y_cols, graph.x_cols)):
-        for perm in make_plan(len(resp_cols)).perms:
-            order = tuple(resp_cols[i] for i in perm)
-            den_sum = 0.0
-            for ell, resp in enumerate(order):
-                assert graph.xi(direction, resp, preds + order[:ell]) <= 1.0
-                if ell >= 1:
-                    term = graph.xi(direction, resp, order[:ell])
-                    assert term <= 1.0
-                    den_sum += term
-            assert len(order) - den_sum >= 1.0
+    sides = (("y_on_x", make_plan(pair.q).perms), ("x_on_y", make_plan(pair.p).perms))
+    plan = _term_plan(pair.p, pair.q, sides)
+    vals = plan.term_values(pair, seed=5)
+    assert (vals <= 1.0).all()
+    for _, den_idx in plan.chains:
+        den_sum = np.zeros(den_idx.shape[0])
+        for col in den_idx.T:  # in chain order, as the statistic sums them
+            den_sum += vals[col]
+        assert (den_idx.shape[1] + 1 - den_sum >= 1.0).all()
     assert xi_n(pair.y[:, 0], pair.x, seed=2) <= 1.0
     for stat in (t_n(pair, seed=3), t_n_bar(pair, seed=3), t_n_star(pair, seed=3)):
         assert math.isfinite(stat) and stat <= 1.0
@@ -279,3 +275,51 @@ class TestTermGraph:
         got = t_n_star(FeatureMatrixPair(x, y), plan_x=plan_x, plan_y=plan_y, seed=2)
         want = t_star_reference(x, y, plan_x.perms, plan_y.perms, seed=2)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# p, q in 1..4, so p + q = 8 reaches the widest set summed column by column
+# (seven columns); (5, 4) adds eight-column sets, which take the contract's
+# pairwise sum
+_SHAPES = [(p, q) for p in range(1, 5) for q in range(1, 5)] + [(5, 4)]
+
+
+@st.composite
+def rounded_blocks(draw):
+    """Values rounded to one decimal, rows duplicated, at sizes around 160.
+
+    Exact ties hit neighbour searches and responses alike.  Every column
+    varies, unless the predictor block's first column is made constant.
+    """
+    n = draw(st.sampled_from([2, 3, 12, 50, 159, 160, 170]))
+    p, q = draw(st.sampled_from(_SHAPES))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = max(2, n // draw(st.sampled_from([1, 2, 4])))
+    base = np.round(r.standard_normal((distinct, p + q)), 1)
+    z = base[r.integers(0, distinct, size=n)]
+    z[0, np.ptp(z, axis=0) == 0] += 1.0
+    constant_x = draw(st.booleans())
+    if constant_x:
+        z[:, 0] = 0.5
+    return z[:, :p], z[:, p:], constant_x
+
+
+@settings(max_examples=40, deadline=None)
+@given(rounded_blocks(), st.integers(0, 2**16))
+def test_plan_equals_the_term_by_term_definition(blocks, seed):
+    # the compiled plan against brute-force xi, term by term, bit for bit; a
+    # constant predictor column is never ranked under t and tbar, but it is
+    # a response of the reverse direction of tstar
+    x, y, constant_x = blocks
+    pair = FeatureMatrixPair(x, y)
+    plan_x = make_plan(pair.p, n_perms=2, seed=seed)
+    plan_y = make_plan(pair.q, n_perms=2, seed=seed + 1)
+    got = t_n(pair, seed=seed)
+    assert math.isfinite(got) and got == t_reference(x, y, seed=seed)
+    got = t_n_bar(pair, plan=plan_y, seed=seed)
+    assert got == t_bar_reference(x, y, plan_y.perms, seed=seed)
+    if constant_x:
+        with pytest.raises(DegenerateRanksError):
+            t_n_star(pair, plan_x=plan_x, plan_y=plan_y, seed=seed)
+    else:
+        got = t_n_star(pair, plan_x=plan_x, plan_y=plan_y, seed=seed)
+        assert got == t_star_reference(x, y, plan_x.perms, plan_y.perms, seed=seed)
