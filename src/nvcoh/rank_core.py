@@ -12,35 +12,38 @@ Conventions shared by every estimator in this package:
 The tie-break convention is part of the public contract: any independent
 re-implementation that follows it reproduces this module's output bit for bit.
 
+`xi_n` and every term of the chained statistic in `vector_measure` run one
+evaluator, `_xi_terms`: one sort ranks the response rows, one neighbour
+sweep searches the predictor sets, and one reduction gives every ratio.
+
 Neighbour search runs in two steps.  `NeighborSearch`, built on one matrix,
-needs no seed: ``candidates(cols)`` returns, for a subset of its columns,
-each row's nearest other row and, for rows with several exact minimisers,
-their candidates; `NeighborCandidates.resolve` then draws for one seed.
-``search_all(sets)`` searches a list of column sets in one sweep; the chained
-statistic in `vector_measure` sweeps its sorted predictor sets once per
-frequency and resolves ties per term.  The search picks the backend by row
-count first: below ``_EXHAUSTIVE_MAX_N`` rows every column set, a single
-column included, is scanned in its squared-distance matrix.  From there on a
-single column takes a sorted scan and more columns a k-d tree; both screen
-for the nearest row and re-check near-ties with the exact metric over a
-window (sorted positions) or a ball (tree) that holds every possible
-minimiser.  Squares that overflow are inf and tie with one another, never
-with the row itself; the tree's ball query fails where squared distances may
-overflow, so such column sets take the matrix scan whatever their row count.
-The row-count threshold, 160, is where matrix and tree cost the same for a
-single search; the chained statistic's sweep keeps the matrix cheaper up to
-300-400 rows (README, "Performance").  `scipy.spatial` is imported by the
-first k-d tree search, so a run below 160 rows, and every null draw, needs
-numpy alone.  The matrix is the contract's row sum over C-contiguous rows.
-numpy sums at most seven terms strictly left to right, so up to seven
-columns the same matrix results from adding per-column squared differences
-in column order, and column sets that share a prefix share its partial sum.
-A sweep keeps those sums in one workspace per thread, reused by every
-sweep: one matrix per column and a chain of prefix sums, 1.1 MB at 115 rows
-and six columns, small enough to stay in cache.  Sorted sets walk the chain
-depth first, so each prefix is summed once and each set is scanned right
-after its sum is formed.  numpy sums eight or more terms pairwise, so wider
-matrices are computed by the contract expression itself.
+needs no seed: ``search_all(sets)`` returns, for each of a list of column
+subsets, each row's nearest other row and, for rows with several exact
+minimisers, their candidates; `NeighborCandidates.resolve` then draws for
+one seed, so a term derives its seed only where its set has a tie.  The
+search picks the backend by row count first: below ``_EXHAUSTIVE_MAX_N``
+rows every column set, a single column included, is scanned in its
+squared-distance matrix.  From there on a single column takes a sorted scan
+and more columns a k-d tree; both screen for the nearest row and re-check
+near-ties with the exact metric over a window (sorted positions) or a ball
+(tree) that holds every possible minimiser.  Squares that overflow are inf
+and tie with one another, never with the row itself; the tree's ball query
+fails where squared distances may overflow, so such column sets take the
+matrix scan whatever their row count.  The row-count threshold, 160, is
+where matrix and tree cost the same for a single search; the chained
+statistic's sweep keeps the matrix cheaper up to 300-400 rows (README,
+"Performance").  `scipy.spatial` is imported by the first k-d tree search,
+so a run below 160 rows, and every null draw, needs numpy alone.  The matrix
+is the contract's row sum over C-contiguous rows.  numpy sums at most seven
+terms strictly left to right, so up to seven columns the same matrix results
+from adding per-column squared differences in column order, and column sets
+that share a prefix share its partial sum.  A sweep keeps those sums in one
+workspace per thread, reused by every sweep: one matrix per column and a
+chain of prefix sums, 1.1 MB at 115 rows and six columns, small enough to
+stay in cache.  Sorted sets walk the chain depth first, so each prefix is
+summed once and each set is scanned right after its sum is formed.  numpy
+sums eight or more terms pairwise, so wider matrices are computed by the
+contract expression itself.
 """
 from __future__ import annotations
 
@@ -109,20 +112,20 @@ class RankTriple:
     r_nn: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=np.int64)
-        l = np.asarray(self.l, dtype=np.int64)
-        r_nn = np.asarray(self.r_nn, dtype=np.int64)
-        n = r.shape[0]
-        if not (r.shape == l.shape == r_nn.shape) or r.ndim != 1:
+        for name in ("r", "l", "r_nn"):
+            f = np.asarray(getattr(self, name), dtype=np.float64)
+            if not (np.isfinite(f) & (f == np.trunc(f))).all():
+                raise ValueError(f"{name} entries must be whole numbers")
+            object.__setattr__(self, name, f.astype(np.int64))
+        r, l, r_nn = self.r, self.l, self.r_nn
+        if r.ndim != 1 or not (r.shape == l.shape == r_nn.shape):
             raise ValueError("rank arrays must be 1-d with identical length")
+        n = r.shape[0]
         if n < 2:
             raise ValueError("need at least two observations")
         for name, arr in (("r", r), ("l", l), ("r_nn", r_nn)):
             if arr.min() < 1 or arr.max() > n:
                 raise ValueError(f"{name} values must lie in 1..{n}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "r_nn", r_nn)
 
     @property
     def n(self) -> int:
@@ -150,39 +153,33 @@ def _check_values(arr: np.ndarray, name: str) -> None:
 def compute_ranks(u) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(r, l)`` with ``r[j] = #{u <= u[j]}`` and ``l[j] = #{u >= u[j]}``.
 
-    Runs in O(n log n): one sort, then either a direct scatter (no ties) or
-    two binary searches (ties present).
+    Runs in O(n log n); the one-row case of `_row_ranks`.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
-    n = u.shape[0]
-    if n < 2:
+    if u.shape[0] < 2:
         raise ValueError("need at least two observations")
     _check_values(u, "u")
-    order = np.argsort(u, kind="stable")
-    su = u[order]
-    if (su[1:] != su[:-1]).all():
-        r = np.empty(n, dtype=np.int64)
-        r[order] = np.arange(1, n + 1)
-        return r, n + 1 - r
-    r = np.searchsorted(su, u, side="right").astype(np.int64)
-    l = (n - np.searchsorted(su, u, side="left")).astype(np.int64)
-    return r, l
+    r, l = _row_ranks(u[None])
+    return r[0], l[0]
 
 
 def _row_ranks(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`compute_ranks` of every row of a finite ``(m, n)`` matrix.
 
-    One stable sort ranks every row; a row with ties takes `compute_ranks`.
+    One stable sort orders every row; a row with ties is ranked by binary
+    searches in its sorted values.  Gathers and scatters go through flat
+    positions: one index array costs half as much as a row and a column one.
     """
     m, n = u.shape
-    rows = np.arange(m)[:, None]
-    order = np.argsort(u, axis=1, kind="stable")
-    su = u[rows, order]
+    flat = np.argsort(u, axis=1, kind="stable")
+    flat += np.arange(0, m * n, n)[:, None]
+    su = np.ravel(u)[flat]
     r = np.empty((m, n), dtype=np.int64)
-    r[rows, order] = np.arange(1, n + 1)
+    r.reshape(-1)[flat] = np.arange(1, n + 1)
     l = n + 1 - r
     for i in np.flatnonzero((su[:, 1:] == su[:, :-1]).any(axis=1)):
-        r[i], l[i] = compute_ranks(u[i])
+        r[i] = np.searchsorted(su[i], u[i], side="right")
+        l[i] = n - np.searchsorted(su[i], u[i], side="left")
     return r, l
 
 
@@ -334,28 +331,21 @@ def _nn_kdtree(v: np.ndarray) -> NeighborCandidates:
 class NeighborSearch:
     """Seed-free neighbour searches over column subsets of one finite matrix.
 
-    ``candidates(cols)`` searches the rows of ``z[:, cols]``, summing squared
-    differences in the order of ``cols``, once per distinct ``cols``;
-    `search_all` searches a list of column sets in one sweep.
+    `search_all` searches, in one sweep, the rows of ``z[:, cols]`` for each
+    ``cols`` of a list, summing squared differences in the order of
+    ``cols``.  `nearest_neighbors` is a sweep over one set, all columns.
     """
 
     def __init__(self, z: np.ndarray):
         self.z = np.asarray(z, dtype=np.float64)
-        self._found: dict = {}
         # squares that overflow are inf, as in the contract; silencing the
         # warning slows every ufunc call, so only such data pays for it.  An
         # errstate can be entered only once, so each sweep makes its own.
         self._overflow = (functools.partial(np.errstate, over="ignore")
                           if _squares_may_overflow(self.z) else contextlib.nullcontext)
 
-    def candidates(self, cols) -> NeighborCandidates:
-        cols = tuple(cols)
-        if cols not in self._found:
-            self._found[cols] = self.search_all([cols])[0]
-        return self._found[cols]
-
     def search_all(self, sets) -> list[NeighborCandidates]:
-        """`candidates` of each column set, in order; the one backend choice.
+        """The search result of each column set, in order; the one backend choice.
 
         From `_EXHAUSTIVE_MAX_N` rows on, one column takes the sorted scan and
         more the k-d tree, both re-checking near-ties exactly.  Below it every
@@ -431,6 +421,19 @@ def _workspace(slots: int, n: int) -> np.ndarray:
     return buf[:size].reshape(slots, n, n)
 
 
+def _predictor_matrix(v) -> np.ndarray:
+    """``v`` as a finite ``(n, d)`` float matrix with n >= 2; a vector is one column."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 1:
+        v = v[:, None]
+    if v.ndim != 2 or v.shape[1] < 1:
+        raise ValueError("v must be an (n, d) matrix")
+    if v.shape[0] < 2:
+        raise ValueError("need at least two rows")
+    _check_values(v, "v")
+    return v
+
+
 def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
     """Index of the Euclidean-nearest other row for every row of ``v``.
 
@@ -446,30 +449,38 @@ def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
     See `NeighborSearch` for the backends.  Exact duplicates of a row
     are valid neighbors at distance zero.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.ndim != 2 or v.shape[1] < 1:
-        raise ValueError("v must be an (n, d) matrix")
-    if v.shape[0] < 2:
-        raise ValueError("need at least two rows")
-    _check_values(v, "v")
-    search = NeighborSearch(v)
-    return NeighborIndex(n_of=search.candidates(range(v.shape[1])).resolve(seed))
+    v = _predictor_matrix(v)
+    found = NeighborSearch(v).search_all([range(v.shape[1])])[0]
+    return NeighborIndex(n_of=found.resolve(seed))
 
 
-def _xi_denominator(l: np.ndarray) -> np.int64:
-    """``sum(l*(n-l))``: depends on the response alone; zero if all tied."""
-    den = (l * (l.shape[0] - l)).sum()
-    if den == 0:
+def _xi_ratios(r: np.ndarray, l: np.ndarray, r_nn: np.ndarray) -> np.ndarray:
+    """Row-wise ``sum(n*min(r, r_nn) - l^2) / sum(l*(n-l))`` of ``(m, n)`` ranks.
+
+    The denominator depends on the response alone; it is zero if all tie.
+    """
+    n = r.shape[1]
+    den = (l * (n - l)).sum(axis=1)
+    if not den.all():
         raise DegenerateRanksError("all response values are tied")
-    return den
+    return (n * np.minimum(r, r_nn) - l * l).sum(axis=1) / den
 
 
-def _xi_ratio(r: np.ndarray, l: np.ndarray, r_nn: np.ndarray) -> float:
-    n = r.shape[0]
-    num = (n * np.minimum(r, r_nn) - l * l).sum()
-    return float(num / _xi_denominator(l))
+def _xi_terms(y: np.ndarray, z: np.ndarray, sets, term_resp: np.ndarray,
+              term_set: np.ndarray, seed_of) -> np.ndarray:
+    """xi of each term t: row ``term_resp[t]`` of ``y`` on ``sets[term_set[t]]``.
+
+    ``y`` holds finite ``(m, n)`` response rows and ``sets`` column tuples of
+    the finite ``(n, d)`` ``z``, sorted so the sweep shares their prefixes.
+    Ties of a term's set are drawn with ``seed_of(t)``, called for it alone.
+    """
+    r, l = _row_ranks(y)
+    found = NeighborSearch(z).search_all(sets)
+    n_of = np.stack([found[s].resolve(seed_of(t)) if found[s].tied else found[s].n_of
+                     for t, s in enumerate(term_set)])
+    n_of += np.arange(0, n_of.size, r.shape[1])[:, None]  # flat positions in r_t
+    r_t = r[term_resp]
+    return _xi_ratios(r_t, l[term_resp], r_t.reshape(-1)[n_of])
 
 
 def xi_from_ranks(triple: RankTriple) -> float:
@@ -478,7 +489,7 @@ def xi_from_ranks(triple: RankTriple) -> float:
     The raw statistic is returned unclamped; it can fall slightly below zero
     for small samples, and clamping here would bias the permutation null.
     """
-    return _xi_ratio(triple.r, triple.l, triple.r_nn)
+    return float(_xi_ratios(triple.r[None], triple.l[None], triple.r_nn[None])[0])
 
 
 def xi_n(u, v, seed: int = 0) -> float:
@@ -492,14 +503,13 @@ def xi_n(u, v, seed: int = 0) -> float:
     below it, an O(n^2) scan.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[:, None]
+    v = _predictor_matrix(v)
     if u.shape[0] != v.shape[0]:
         raise ValueError("u and v must have the same number of observations")
-    r, l = compute_ranks(u)
-    nn = nearest_neighbors(v, seed=seed)
-    return _xi_ratio(r, l, r[nn.n_of])
+    _check_values(u, "u")
+    zero = np.zeros(1, dtype=np.intp)
+    return float(_xi_terms(u[None], v, [range(v.shape[1])], zero, zero,
+                           lambda t: seed)[0])
 
 
 def xi_null(n: int, seed: int = 0) -> float:

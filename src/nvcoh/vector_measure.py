@@ -16,13 +16,13 @@ The terms of `t_n`, `t_n_bar` and `t_n_star` are compiled once per pair
 shape into a `_TermPlan`, cached by ``(p, q)`` and the orderings of each
 direction: the term keys, the distinct predictor sets in lexicographic
 order, the response columns, and the term indices of every ordering's chain.
-Each frequency then runs a fixed sequence of array operations: one
-`rank_core.NeighborSearch.search_all` sweep over the sorted sets (shared by
-all terms and both directions of `t_n_star`), one stable sort ranking every
-response column, one integer reduction for every term's xi ratio, and the
-chains as vector sums across orderings.  Exact ties are resolved per term
-with that term's seed, derived only when the search found a tie, so every
-term equals ``xi_n(response, predictors, seed=term_seed(...))`` bit for bit.
+Each frequency then makes one call of `rank_core._xi_terms`, the evaluator
+that `rank_core.xi_n` runs as one term: one neighbour sweep over the sorted
+sets (shared by all terms and both directions of `t_n_star`), one stable
+sort ranking every response column, one integer reduction for every term's
+xi ratio; the chains follow as vector sums across orderings.  Exact ties are
+resolved per term with that term's seed, derived only when the search found
+a tie, so every term equals ``xi_n(response, predictors, seed=term_seed(...))``.
 """
 from __future__ import annotations
 
@@ -213,30 +213,21 @@ class _TermPlan:
     def term_values(self, pair: FeatureMatrixPair, seed: int) -> np.ndarray:
         """The xi value of every term on one pair, in the order of ``terms``.
 
-        One sweep searches every predictor set, one stable sort ranks every
-        response column, and one integer reduction gives every ratio.  A
+        One call of `rank_core._xi_terms`, the evaluator behind `xi_n`: a
         term whose set has exact ties resolves them with its own seed, so
         each value equals ``xi_n(response, predictors, seed=term_seed(...))``
         bit for bit.  Raises `rank_core.DegenerateRanksError` when a response
         column is constant.
         """
         z = np.hstack([pair.x, pair.y])[:, self.order]
-        n = z.shape[0]
-        r, l = rank_core._row_ranks(z[:, self.responses].T)
-        den = (l * (n - l)).sum(axis=1)
-        if not den.all():
-            raise rank_core.DegenerateRanksError("all response values are tied")
-        found = rank_core.NeighborSearch(z).search_all(self.sets)
-        n_of = np.stack([f.n_of for f in found])[self.term_set]
-        tied = np.array([bool(f.tied) for f in found])
-        for t in np.flatnonzero(tied[self.term_set]):
+
+        def seed_of(t):
             direction, resp, preds = self.terms[t]
-            n_of[t] = found[self.term_set[t]].resolve(term_seed(
-                seed, direction, self.labels[resp], [self.labels[c] for c in preds]))
-        r_t, l_t = r[self.term_resp], l[self.term_resp]
-        r_nn = r[self.term_resp[:, None], n_of]
-        num = (n * np.minimum(r_t, r_nn) - l_t * l_t).sum(axis=1)
-        return num / den[self.term_resp]
+            return term_seed(seed, direction, self.labels[resp],
+                             [self.labels[c] for c in preds])
+
+        return rank_core._xi_terms(z[:, self.responses].T, z, self.sets,
+                                   self.term_resp, self.term_set, seed_of)
 
     def side_means(self, pair: FeatureMatrixPair, seed: int) -> list[float]:
         """Per side, the mean of the chained statistic over its orderings."""

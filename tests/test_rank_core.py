@@ -157,7 +157,7 @@ class TestNeighborSearch:
         search = NeighborSearch(z)
         for cols in [(0,), (0, 1), (0, 1, 2), (2, 5, 7), (1, 0), tuple(range(7)),
                      tuple(range(8)), (10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0)]:
-            got = search.candidates(cols).resolve(4)
+            got = search.search_all([cols])[0].resolve(4)
             want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=4)
             assert np.array_equal(got, want)
 
@@ -189,7 +189,7 @@ class TestNeighborSearch:
         assert np.array_equal(nearest_neighbors(v, seed=seed).n_of, want)
         # the column as a strided selection of a wider matrix
         z = np.column_stack([r.standard_normal(n), v])
-        assert np.array_equal(NeighborSearch(z).candidates((1,)).resolve(seed), want)
+        assert np.array_equal(NeighborSearch(z).search_all([(1,)])[0].resolve(seed), want)
 
     def test_overflowing_squares_in_several_column_sets(self):
         # each search silences the overflow on its own, one set after another
@@ -197,7 +197,7 @@ class TestNeighborSearch:
         search = NeighborSearch(z)
         for cols in [(0,), (0, 1), (2, 1, 0)]:
             want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=1)
-            assert np.array_equal(search.candidates(cols).resolve(1), want)
+            assert np.array_equal(search.search_all([cols])[0].resolve(1), want)
 
     @pytest.mark.parametrize("n", [60, rank_core._EXHAUSTIVE_MAX_N + 5])
     def test_sweep_matches_brute_force(self, n):
@@ -231,11 +231,6 @@ class TestNeighborSearch:
         # with two rows, the other row is a single candidate, never a tie
         assert nearest_neighbors([[1e154], [-1e154]]).n_of.tolist() == [1, 0]
 
-    def test_each_column_set_searched_once(self):
-        search = NeighborSearch(np.random.default_rng(0).standard_normal((30, 4)))
-        assert search.candidates((0, 2)) is search.candidates([0, 2])
-        assert search.candidates((0, 2)) is not search.candidates((2, 0))
-
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(2, 40), st.integers(1, 20),
@@ -243,10 +238,13 @@ class TestNeighborSearch:
 def test_row_ranks_match_counting_oracle(m, n, spread, seed):
     u = np.random.default_rng(seed).integers(0, spread, size=(m, n)).astype(float)
     r, l = rank_core._row_ranks(u)
-    # one stable sort for every row, the tied rows re-ranked one by one
+    # one stable sort for every row, the tied rows ranked by binary search;
+    # `compute_ranks` is the one-row case
     for row, r_row, l_row in zip(u, r, l):
         want_r, want_l = counting_ranks(row)
         assert np.array_equal(r_row, want_r) and np.array_equal(l_row, want_l)
+        one_r, one_l = compute_ranks(row)
+        assert np.array_equal(one_r, want_r) and np.array_equal(one_l, want_l)
 
 
 class TestXiFromRanks:
@@ -271,6 +269,16 @@ class TestXiFromRanks:
             RankTriple(r=[1, 2], l=[2, 1], r_nn=[1, 2, 3])
         with pytest.raises(ValueError):
             RankTriple(r=[0, 2], l=[2, 1], r_nn=[1, 2])
+
+    @pytest.mark.parametrize("name, value", [("r", [1.5, 2, 3]), ("r_nn", [2.9, 1, 2]),
+                                             ("l", [3, 2, np.nan]), ("r", [1, 2, np.inf])])
+    def test_refuses_non_integer_ranks(self, name, value):
+        # a fractional rank used to be truncated silently
+        ranks = {"r": [1, 2, 3], "l": [3, 2, 1], "r_nn": [2, 1, 2], name: value}
+        with pytest.raises(ValueError, match=f"^{name} entries must be whole numbers"):
+            RankTriple(**ranks)
+        # whole numbers stored as floats are ranks
+        assert xi_from_ranks(RankTriple(r=[1.0, 2, 3], l=[3, 2, 1.0], r_nn=[2, 1, 2])) == -0.5
 
 
 class TestXiN:
@@ -320,21 +328,44 @@ class TestXiN:
         v = rng.standard_normal(500)
         assert xi_n(u, 0.3 * v + 7.0, seed=2) == xi_n(u, v, seed=2)
 
-    @pytest.mark.parametrize("trial", range(30))
+    @pytest.mark.parametrize("trial", range(60))
     def test_oracle_equivalence(self, trial):
+        # bit for bit: the oracle's ratio is an exact fraction whose numerator
+        # and denominator stay below 2**53, so one float division rounds both
+        # the same way
         r = np.random.default_rng(100 + trial)
-        n = int(r.integers(2, 300))
+        edge = (2, 3, rank_core._EXHAUSTIVE_MAX_N - 1, rank_core._EXHAUSTIVE_MAX_N,
+                rank_core._EXHAUSTIVE_MAX_N + 1)
+        n = edge[trial % 5] if trial >= 30 else int(r.integers(2, 300))
         d = int(r.integers(1, 5))
         v = r.standard_normal((n, d))
+        if trial % 3 == 1:  # a lattice of 0, 1 or 2 decimals: distance ties
+            v = np.round(v, trial // 3 % 3)
+        elif trial % 3 == 2:  # duplicated predictor rows
+            v = v[r.integers(0, max(n // 3, 1), size=n)]
         u = r.standard_normal(n)
         if trial % 4 == 0:
             u = np.round(u, 1)
-        assert xi_n(u, v, seed=trial) == pytest.approx(
-            xi_reference(u, v, seed=trial), abs=1e-12)
+        assert xi_n(u, v, seed=trial) == xi_reference(u, v, seed=trial)
 
     def test_length_mismatch(self, rng):
         with pytest.raises(ValueError):
             xi_n(rng.standard_normal(5), rng.standard_normal((6, 1)))
+
+    @pytest.mark.parametrize("u, v", [
+        (np.ones(5), np.arange(6.0)),                   # length mismatch
+        (np.ones(5), np.ones((5, 0))),                  # no predictor column
+        (np.ones(5), np.ones((5, 2, 1))),               # not a matrix
+        (np.ones(1), np.ones(1)),                       # one row
+        (np.ones(5), [0.0, 1.0, np.nan, 3.0, 4.0]),     # non-finite v
+        (np.r_[np.ones(4), np.inf], np.arange(5.0)),    # non-finite u
+    ])
+    def test_bad_input_refused_before_a_constant_response(self, u, v):
+        # every response is constant where it is finite, but the bad input
+        # is what gets reported
+        with pytest.raises(ValueError) as info:
+            xi_n(u, v)
+        assert not isinstance(info.value, DegenerateRanksError)
 
 
 class TestXiNull:
