@@ -6,9 +6,10 @@ rest under "params".  Re-running a command with the same inputs and seed
 reproduces every output file byte for byte.  Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical degeneracy.  Only baseline and simulate load
 scipy at start; analyze loads it only for recordings of 160 blocks or more,
-and compare and null-dist never do.  analyze (region pairs) and simulate
-(replicates) run their profiles in one pool of --threads processes per run,
-through `spectral.fan_out`; no output depends on --threads but the manifest.
+and compare and null-dist never do.  analyze evaluates every region pair at
+once, one sweep per frequency, and its pool of --threads processes takes
+chunks of frequencies; simulate's pool takes replicates.  Both run through
+`spectral.fan_out`, and no output depends on --threads but the manifest.
 """
 from __future__ import annotations
 
@@ -36,14 +37,14 @@ from .inference import (
     p_values,
 )
 from .rank_core import DegenerateRanksError, _square_safe_magnitude, derive_seed
-from .spectral import (
+from . import spectral
+from .spectral import (  # noqa: F401  (bench/layers.py wraps nvc_profile here)
     CANONICAL_BANDS,
     DEFAULT_MAX_LAG,
     BlockTooLongError,
     EmptyBandError,
     FrequencyBand,
     TimeSeriesMatrix,
-    fan_out,
     nvc_profile,
     rbp,
     retained_indices,
@@ -257,17 +258,6 @@ def _band_of(freq: float, bands) -> str:
     return ""
 
 
-def _profile_worker(task):
-    pair_name, x, y, block_len, measure, n_perms, master_seed = task
-    # plans are keyed by dimension, so every pair with the same q shares one
-    plan_y = _default_plan(y.n_channels, n_perms, master_seed)
-    plan_x = _default_plan(x.n_channels, n_perms, master_seed) \
-        if measure == "tstar" else None
-    return nvc_profile(x, y, block_len, measure=measure,
-                       seed=derive_seed(master_seed, "pair", pair_name),
-                       plan_x=plan_x, plan_y=plan_y)
-
-
 def cmd_analyze(args) -> int:
     ts, config = _load_recording(args, 2 * args.block_len,
                                  f"two blocks of {args.block_len}")
@@ -278,10 +268,19 @@ def cmd_analyze(args) -> int:
     n_blocks = ts.n_samples // args.block_len
 
     names = [f"{a}-{b}" for a, b in config.pairs]
-    tasks = [(name, ts.select(config.regions[a]), ts.select(config.regions[b]),
-              args.block_len, args.measure, args.q_perms, args.seed)
-             for name, (a, b) in zip(names, config.pairs)]
-    profiles = fan_out(_profile_worker, tasks, args.threads, ProcessPoolExecutor)
+    regions = [r for r in config.regions if any(r in pair for pair in config.pairs)]
+    tensors = [spectral.block_periodograms(ts.select(config.regions[r]), args.block_len)
+               for r in regions]
+    # plans are keyed by dimension, so every pair with the same q shares one
+    plans = [(_default_plan(len(config.regions[a]), args.q_perms, args.seed)
+              if args.measure == "tstar" else None,
+              _default_plan(len(config.regions[b]), args.q_perms, args.seed))
+             for a, b in config.pairs]
+    profiles = spectral._montage_profiles(
+        tensors, [(regions.index(a), regions.index(b)) for a, b in config.pairs],
+        args.block_len, ts.fs, args.measure,
+        [derive_seed(args.seed, "pair", name) for name in names], plans,
+        args.threads, ProcessPoolExecutor)
 
     # one null ensemble per distinct (n, q); no data enters it
     ensembles: dict = {}

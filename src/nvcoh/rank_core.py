@@ -80,6 +80,9 @@ _SQRT_MAX = np.sqrt(np.finfo(np.float64).max)
 # squared differences summed column by column in that order equal the
 # contract's ``.sum(axis=-1)`` bit for bit; wider rows are summed pairwise
 _MAX_ACCUMULATED_WIDTH = 7
+# below this row count no partial sum of the xi ratio's int64 terms, each at
+# most n**2 in magnitude, can reach 2**63
+_INT64_SUM_MAX_N = 2**21
 
 
 class DegenerateRanksError(ValueError):
@@ -457,13 +460,32 @@ def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
 def _xi_ratios(r: np.ndarray, l: np.ndarray, r_nn: np.ndarray) -> np.ndarray:
     """Row-wise ``sum(n*min(r, r_nn) - l^2) / sum(l*(n-l))`` of ``(m, n)`` ranks.
 
-    The denominator depends on the response alone; it is zero if all tie.
+    The denominator depends on the response alone; it is zero if all tie,
+    and the row's ratio is NaN.  Both sums are exact: every term is at most
+    n**2 in magnitude, so below `_INT64_SUM_MAX_N` rows no partial sum
+    passes 2**63 and int64 holds them, and the ratio is numpy's division of
+    the two sums as floats.  From there on `_exact_row_sums` gives Python
+    integers, and their quotient is correctly rounded.
     """
     n = r.shape[1]
-    den = (l * (n - l)).sum(axis=1)
-    if not den.all():
-        raise DegenerateRanksError("all response values are tied")
-    return (n * np.minimum(r, r_nn) - l * l).sum(axis=1) / den
+    num_terms = n * np.minimum(r, r_nn) - l * l
+    den_terms = l * (n - l)
+    if n < _INT64_SUM_MAX_N:
+        num, den = num_terms.sum(axis=1), den_terms.sum(axis=1)
+        return np.divide(num, den, out=np.full(num.shape, np.nan), where=den != 0)
+    return np.array([a / b if b else np.nan for a, b in
+                     zip(_exact_row_sums(num_terms), _exact_row_sums(den_terms))])
+
+
+def _exact_row_sums(terms: np.ndarray) -> list[int]:
+    """Row sums of an int64 matrix, as Python integers, for fewer than 2**32 columns.
+
+    Each entry splits into its high and low 32-bit halves; summed apart,
+    neither half can overflow its type.
+    """
+    low = (terms & 0xFFFFFFFF).sum(axis=1, dtype=np.uint64)
+    high = (terms >> 32).sum(axis=1)
+    return [(int(h) << 32) + int(lo) for h, lo in zip(high, low)]
 
 
 def _xi_terms(y: np.ndarray, z: np.ndarray, sets, term_resp: np.ndarray,
@@ -473,6 +495,7 @@ def _xi_terms(y: np.ndarray, z: np.ndarray, sets, term_resp: np.ndarray,
     ``y`` holds finite ``(m, n)`` response rows and ``sets`` column tuples of
     the finite ``(n, d)`` ``z``, sorted so the sweep shares their prefixes.
     Ties of a term's set are drawn with ``seed_of(t)``, called for it alone.
+    A term whose response row is constant is NaN.
     """
     r, l = _row_ranks(y)
     found = NeighborSearch(z).search_all(sets)
@@ -483,13 +506,20 @@ def _xi_terms(y: np.ndarray, z: np.ndarray, sets, term_resp: np.ndarray,
     return _xi_ratios(r_t, l[term_resp], r_t.reshape(-1)[n_of])
 
 
+def _one_ratio(values: np.ndarray) -> float:
+    """The single xi value of a one-term evaluation; a constant response raises."""
+    if np.isnan(values[0]):
+        raise DegenerateRanksError("all response values are tied")
+    return float(values[0])
+
+
 def xi_from_ranks(triple: RankTriple) -> float:
     """Evaluate the rank ratio ``sum(n*min(r, r_nn) - l^2) / sum(l*(n-l))``.
 
     The raw statistic is returned unclamped; it can fall slightly below zero
     for small samples, and clamping here would bias the permutation null.
     """
-    return float(_xi_ratios(triple.r[None], triple.l[None], triple.r_nn[None])[0])
+    return _one_ratio(_xi_ratios(triple.r[None], triple.l[None], triple.r_nn[None]))
 
 
 def xi_n(u, v, seed: int = 0) -> float:
@@ -508,8 +538,8 @@ def xi_n(u, v, seed: int = 0) -> float:
         raise ValueError("u and v must have the same number of observations")
     _check_values(u, "u")
     zero = np.zeros(1, dtype=np.intp)
-    return float(_xi_terms(u[None], v, [range(v.shape[1])], zero, zero,
-                           lambda t: seed)[0])
+    return _one_ratio(_xi_terms(u[None], v, [range(v.shape[1])], zero, zero,
+                                lambda t: seed))
 
 
 def xi_null(n: int, seed: int = 0) -> float:

@@ -5,11 +5,15 @@ per-channel periodogram ordinates act as replicated observations of the
 squared frequency content at every retained Fourier frequency.  Feeding the
 per-frequency feature matrices of two channel groups into the vector
 dependence statistic yields the nonlinear vector coherence (NVC) profile.
+`_montage_profiles` gives the profiles of many region pairs at once: one
+term plan for the whole montage, one sweep per frequency, each region's
+periodograms computed once; `nvc_profile` is its one-pair case.
 The relative band power baseline, `rbp`, is a share of the same block
 periodograms, so it lives here too, and `baselines` re-exports it.
-`fan_out` runs one function over many profile tasks, in a process pool or
+`fan_out` runs one function over many tasks, in a process pool or
 in-process, and shows their warnings once in the calling process; `nvc
-analyze` (pairs) and `simulation.run_study` (replicates) both call it.
+analyze` hands it chunks of frequencies and `simulation.run_study`
+replicates.
 """
 from __future__ import annotations
 
@@ -19,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rank_core import DegenerateRanksError, derive_seed
-from .vector_measure import (
-    FeatureMatrixPair,
+from .rank_core import derive_seed
+from .vector_measure import (  # noqa: F401  (bench/layers.py wraps t_n* here)
     PermutationPlan,
     _default_plan,
+    _montage_plan,
+    _sides,
     t_n,
     t_n_bar,
     t_n_star,
@@ -172,15 +177,6 @@ class SpectralDependenceProfile:
     meta: dict = field(default_factory=dict)
 
 
-def _measure_value(measure: str, pair: FeatureMatrixPair, seed: int,
-                   plan_x: PermutationPlan, plan_y: PermutationPlan) -> float:
-    if measure == "t":
-        return t_n(pair, seed=seed)
-    if measure == "tbar":
-        return t_n_bar(pair, plan=plan_y, seed=seed)
-    return t_n_star(pair, plan_x=plan_x, plan_y=plan_y, seed=seed)
-
-
 def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
                 measure: str = "tbar", seed: int = 0,
                 plan_x: PermutationPlan | None = None,
@@ -191,7 +187,8 @@ def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
     degeneracy (for example a constant channel whose periodogram ordinates are
     all tied) is recorded as NaN rather than failing the profile.  Missing
     plans default to the exhaustive or sampled plan of each dimension under
-    ``seed`` (the plan of ``x`` only for ``tstar``).
+    ``seed`` (the plan of ``x`` only for ``tstar``).  The one-pair case of
+    `_montage_profiles`.
     """
     if x.fs != y.fs:
         raise ValueError("recordings must share the sampling rate")
@@ -199,41 +196,75 @@ def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
         raise ValueError("recordings must share the time base")
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    px = block_periodograms(x, block_len)
-    py = block_periodograms(y, block_len)
-    n = px.n_blocks
-    if n < 10:
-        warnings.warn(f"only {n} blocks available; estimates will be noisy",
-                      stacklevel=2)
+    tensors = [block_periodograms(x, block_len), block_periodograms(y, block_len)]
     if plan_y is None:
         plan_y = _default_plan(y.n_channels, None, seed)
     if plan_x is None and measure == "tstar":
         plan_x = _default_plan(x.n_channels, None, seed)
+    return _montage_profiles(tensors, [(0, 1)], block_len, x.fs, measure, [seed],
+                             [(plan_x, plan_y)])[0]
 
+
+def _montage_profiles(tensors, pairs, block_len: int, fs: float, measure: str,
+                      seeds, plans, workers: int = 1,
+                      executor=None) -> list[SpectralDependenceProfile]:
+    """The NVC profile of each region pair of a montage, through one term plan.
+
+    ``tensors`` holds one `BlockPeriodogramTensor` per region, ``pairs`` the
+    ``(x, y)`` region indices of each pair, ``seeds`` each pair's seed and
+    ``plans`` its ``(plan_x, plan_y)``; ``plan_x`` is None unless the measure
+    is ``tstar``.  A `vector_measure._MontagePlan` holds every pair's terms,
+    and each frequency evaluates them all in one sweep.  A pair is NaN at a
+    frequency where one of its response channels is constant, and counts it
+    in its ``n_degenerate``.  In ``workers`` processes of ``executor``, each
+    takes one contiguous chunk of the frequencies.
+    """
+    n = tensors[0].n_blocks
+    if n < 10:
+        warnings.warn(f"only {n} blocks available; estimates will be noisy",
+                      stacklevel=3)
+    if not all(np.isfinite(t.values).all() for t in tensors):
+        raise ValueError("entries must be finite")
+    key = (tuple(t.values.shape[1] for t in tensors),
+           tuple((a, b, _sides(measure, tensors[b].values.shape[1], plan_x, plan_y))
+                 for (a, b), (plan_x, plan_y) in zip(pairs, plans)))
     ks = retained_indices(block_len)
-    estimates = np.full(ks.size, np.nan)
-    n_degenerate = 0
+    tasks = [(key, [t.values[:, :, c[0]:c[-1] + 1] for t in tensors], ks[c], seeds)
+             for c in np.array_split(np.arange(ks.size), min(workers, ks.size))]
+    vals = np.concatenate(fan_out(_montage_terms, tasks, workers, executor))
+    profiles = []
+    for (a, b), seed, (plan_x, plan_y), estimates in zip(
+            pairs, seeds, plans, _montage_plan(*key).estimates(vals)):
+        meta = {
+            "block_len": block_len,
+            "n_blocks": n,
+            "fs": fs,
+            "p": tensors[a].values.shape[1],
+            "q": tensors[b].values.shape[1],
+            "measure": measure,
+            "q_perms": plan_y.n_perms,
+            "p_perms": plan_x.n_perms if plan_x is not None else None,
+            "seed": seed,
+            "n_degenerate": int(np.isnan(estimates).sum()),
+        }
+        profiles.append(SpectralDependenceProfile(freqs_hz=tensors[0].freqs_hz,
+                                                  estimates=estimates, meta=meta))
+    return profiles
+
+
+def _montage_terms(task) -> np.ndarray:
+    """Every term's xi value at a chunk of frequencies, one row per frequency.
+
+    ``task`` holds the montage plan's key, each region's periodograms at the
+    chunk's frequencies, the chunk's Fourier indices and the pair seeds.
+    """
+    key, blocks, ks, seeds = task
+    plan = _montage_plan(*key)
+    vals = np.empty((ks.size, len(plan.term_pair)))
     for i, k in enumerate(ks):
-        pair = FeatureMatrixPair(px.values[:, :, i], py.values[:, :, i])
-        try:
-            estimates[i] = _measure_value(measure, pair, derive_seed(seed, "freq", int(k)),
-                                          plan_x, plan_y)
-        except DegenerateRanksError:
-            n_degenerate += 1
-    meta = {
-        "block_len": block_len,
-        "n_blocks": n,
-        "fs": x.fs,
-        "p": x.n_channels,
-        "q": y.n_channels,
-        "measure": measure,
-        "q_perms": plan_y.n_perms,
-        "p_perms": plan_x.n_perms if plan_x is not None else None,
-        "seed": seed,
-        "n_degenerate": n_degenerate,
-    }
-    return SpectralDependenceProfile(freqs_hz=px.freqs_hz, estimates=estimates,
-                                     meta=meta)
+        z = np.concatenate([block[:, :, i] for block in blocks], axis=1)
+        vals[i] = plan.term_values(z, [derive_seed(seed, "freq", int(k)) for seed in seeds])
+    return vals
 
 
 def band_summary(profile: SpectralDependenceProfile,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nvcoh import cli
+from nvcoh import cli, spectral
 from nvcoh.baselines import region_pbc
 from nvcoh.cli import (
     DEFAULT_ROIS,
@@ -25,9 +25,12 @@ from nvcoh.cli import (
     load_region_config,
     main,
 )
+from nvcoh.rank_core import DegenerateRanksError, derive_seed
 from nvcoh.simulation import DEFAULT_MODULUS, gen_case
-from nvcoh.spectral import CANONICAL_BANDS
+from nvcoh.spectral import CANONICAL_BANDS, BlockPeriodogramTensor
 from nvcoh.tables import write_csv as write_table
+from nvcoh.vector_measure import (FeatureMatrixPair, _default_plan, t_n, t_n_bar,
+                                  t_n_star)
 
 
 def write_csv(path, labels, data):
@@ -872,6 +875,108 @@ class TestFanOut:
         assert built == [2]
         rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
         assert len(rows) == 1 + 4 * 49
+
+
+class TestMontage:
+    """`analyze` evaluates every pair in one plan; each equals the pair alone."""
+
+    BLOCK_LEN = 8  # retained Fourier indices 1, 2, 3
+
+    def run_on_periodograms(self, tmp, values, pairs, measure, seed):
+        """Run `analyze` on drawn periodograms, ``{region: (n, channels, 3)}``.
+
+        Channels are named after their region; the recording only sets the
+        block count, since `spectral.block_periodograms` returns the drawn
+        tensor of each region.  Returns ``{pair: (estimates, meta)}``.
+        """
+        labels = {r: [f"{r}{i}" for i in range(v.shape[1])] for r, v in values.items()}
+        by_labels = {tuple(labels[r]): v for r, v in values.items()}
+        n = next(iter(values.values())).shape[0]
+        freqs = cli.retained_indices(self.BLOCK_LEN) * 100.0 / self.BLOCK_LEN
+        rec, reg, out = tmp / "rec.csv", tmp / "reg.json", tmp / "out"
+        write_csv(rec, sum(labels.values(), []),
+                  np.random.default_rng(0).standard_normal(
+                      (n * self.BLOCK_LEN, sum(map(len, labels.values())))))
+        write_regions(reg, labels, [list(pair) for pair in pairs])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "block_periodograms", lambda ts, _: (
+                BlockPeriodogramTensor(by_labels[ts.labels], freqs)))
+            assert main(["analyze", "--input", str(rec), "--regions", str(reg),
+                         "--block-len", str(self.BLOCK_LEN), "--discard-secs", "0",
+                         "--measure", measure, "--null-reps", "10", "--seed", str(seed),
+                         "--out-dir", str(out)]) == EXIT_OK
+        profiles = {}
+        for a, b in pairs:
+            payload = json.loads((out / f"profile_{a}-{b}.json").read_text())
+            est = np.array([np.nan if v is None else v for v in payload["estimate"]])
+            profiles[a, b] = est, payload["meta"]
+        return profiles
+
+    @staticmethod
+    def pair_alone(values, a, b, measure, seed):
+        """The pair's statistic at each frequency, NaN where it is degenerate."""
+        x, y = values[a], values[b]
+        plan_y = _default_plan(y.shape[1], None, seed)
+        plan_x = _default_plan(x.shape[1], None, seed)
+        out = []
+        for i, k in enumerate(cli.retained_indices(TestMontage.BLOCK_LEN)):
+            pair = FeatureMatrixPair(x[:, :, i], y[:, :, i])
+            s = derive_seed(derive_seed(seed, "pair", f"{a}-{b}"), "freq", int(k))
+            try:
+                out.append({"t": lambda: t_n(pair, seed=s),
+                            "tbar": lambda: t_n_bar(pair, plan=plan_y, seed=s),
+                            "tstar": lambda: t_n_star(pair, plan_x=plan_x,
+                                                      plan_y=plan_y, seed=s)}[measure]())
+            except DegenerateRanksError:
+                out.append(np.nan)
+        return np.array(out)
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_montage_equals_each_pair_alone(self, data):
+        # rows 30 scan distance matrices, rows 170 take the sorted scan and
+        # the k-d tree; values rounded to one decimal tie in every search
+        n = data.draw(st.sampled_from([30, 170]))
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+        r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = {}
+        for i, w in enumerate(widths):
+            v = np.round(r.standard_normal((n, w, 3)), 1)
+            v[0][np.ptp(v, axis=0) == 0] += 1.0  # every channel may be a response
+            values[f"R{i}"] = v
+        names = list(values)
+        drawn = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                                   min_size=1, max_size=4))
+        a, b = drawn[0]
+        pairs = list(dict.fromkeys(drawn + [(b, a), (a, a)]))
+        measure = data.draw(st.sampled_from(["t", "tbar", "tstar"]))
+        seed = data.draw(st.integers(0, 2**16))
+        with tempfile.TemporaryDirectory() as tmp:
+            got = self.run_on_periodograms(Path(tmp), values, pairs, measure, seed)
+        for a, b in pairs:
+            want = self.pair_alone(values, a, b, measure, seed)
+            assert not np.isnan(want).any()
+            assert got[a, b][0].tolist() == want.tolist(), (a, b)
+
+    @pytest.mark.parametrize("measure", ["t", "tbar", "tstar"])
+    def test_degeneracy_stays_per_pair(self, measure, tmp_path):
+        # channel RB1 is constant at the second frequency: only pairs that
+        # rank it as a response are NaN there, RB on the y side under t and
+        # tbar, on either side under tstar
+        r = np.random.default_rng(5)
+        values = {"RA": r.exponential(size=(40, 2, 3)), "RB": r.exponential(size=(40, 2, 3)),
+                  "RC": r.exponential(size=(40, 1, 3))}
+        values["RB"][:, 1, 1] = 0.7
+        pairs = [("RA", "RB"), ("RB", "RC"), ("RA", "RC"), ("RC", "RB"), ("RB", "RB")]
+        got = self.run_on_periodograms(tmp_path, values, pairs, measure, 9)
+        for a, b in pairs:
+            uses_rb = b == "RB" or (measure == "tstar" and a == "RB")
+            est, meta = got[a, b]
+            assert np.flatnonzero(np.isnan(est)).tolist() == ([1] if uses_rb else [])
+            assert meta["n_degenerate"] == int(uses_rb)
+            assert np.array_equal(est, self.pair_alone(values, a, b, measure, 9),
+                                  equal_nan=True)
 
 
 # --------------------------------------------------------------- argv property

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,22 @@ class TestXiFromRanks:
     def test_degenerate_ranks(self):
         with pytest.raises(DegenerateRanksError):
             xi_from_ranks(RankTriple(r=[2, 2], l=[2, 2], r_nn=[1, 2]))
+
+    def test_sums_exact_past_int64(self):
+        # from about 3.8 million rows the denominator (n^3 - n)/6 passes
+        # 2**63; both sums stay exact and the ratio is correctly rounded
+        n = 4_000_000
+        rng = np.random.default_rng(1)
+        r = rng.permutation(n) + 1
+        l = n + 1 - r
+        r_nn = np.clip(r + rng.integers(-2, 3, size=n), 1, n)
+
+        def exact_sum(terms):  # chunks of 4000 terms stay far below 2**63
+            return sum(int(chunk.sum()) for chunk in np.array_split(terms, 1000))
+
+        want = Fraction(exact_sum(n * np.minimum(r, r_nn) - l * l), exact_sum(l * (n - l)))
+        got = xi_from_ranks(RankTriple(r=r, l=l, r_nn=r_nn))
+        assert got == float(want) and got <= 1.0
 
     def test_validates_shape(self):
         with pytest.raises(ValueError):
