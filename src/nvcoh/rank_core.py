@@ -13,37 +13,44 @@ The tie-break convention is part of the public contract: any independent
 re-implementation that follows it reproduces this module's output bit for bit.
 
 `xi_n` and every term of the chained statistic in `vector_measure` run one
-evaluator, `_xi_terms`: one sort ranks the response rows, one neighbour
-sweep searches the predictor sets, and one reduction gives every ratio.
+evaluator, `_xi_terms`, on a stack of data matrices, one per frequency: one
+sort ranks the response rows of every matrix, one neighbour sweep searches
+the predictor sets in every matrix, and one reduction gives every ratio.
+`xi_n` and `nearest_neighbors` are stacks of one matrix.
 
-Neighbour search runs in two steps.  `NeighborSearch`, built on one matrix,
-needs no seed: ``search_all(sets)`` returns, for each of a list of column
-subsets, each row's nearest other row and, for rows with several exact
-minimisers, their candidates; `NeighborCandidates.resolve` then draws for
-one seed, so a term derives its seed only where its set has a tie.  The
-search picks the backend by row count first: below ``_EXHAUSTIVE_MAX_N``
-rows every column set, a single column included, is scanned in its
-squared-distance matrix.  From there on a single column takes a sorted scan
-and more columns a k-d tree; both screen for the nearest row and re-check
-near-ties with the exact metric over a window (sorted positions) or a ball
-(tree) that holds every possible minimiser.  Squares that overflow are inf
-and tie with one another, never with the row itself; the tree's ball query
-fails where squared distances may overflow, so such column sets take the
-matrix scan whatever their row count.  The row-count threshold, 160, is
-where matrix and tree cost the same for a single search; the chained
-statistic's sweep keeps the matrix cheaper up to 300-400 rows (README,
-"Performance").  `scipy.spatial` is imported by the first k-d tree search,
-so a run below 160 rows, and every null draw, needs numpy alone.  The matrix
-is the contract's row sum over C-contiguous rows.  numpy sums at most seven
-terms strictly left to right, so up to seven columns the same matrix results
-from adding per-column squared differences in column order, and column sets
-that share a prefix share its partial sum.  A sweep keeps those sums in one
-workspace per thread, reused by every sweep: one matrix per column and a
-chain of prefix sums, 1.1 MB at 115 rows and six columns, small enough to
-stay in cache.  Sorted sets walk the chain depth first, so each prefix is
-summed once and each set is scanned right after its sum is formed.  numpy
-sums eight or more terms pairwise, so wider matrices are computed by the
-contract expression itself.
+Neighbour search runs in two steps.  `NeighborSearch`, built on a stack of
+matrices, needs no seed: ``search_all(sets)`` returns, for each of a list of
+column subsets in each matrix, each row's nearest other row and, for rows
+with several exact minimisers, their candidates;
+`NeighborCandidates.resolve` then draws for one seed, so a term derives its
+seed only where its set has a tie in that matrix.  The search picks the
+backend by row count first: below ``_EXHAUSTIVE_MAX_N`` rows every column
+set, a single column included, is scanned in its squared-distance matrices,
+one argmin and one equality screen for the whole stack.  From there on a
+single column takes a sorted scan and more columns a k-d tree, matrix by
+matrix; both screen for the nearest row and re-check near-ties with the
+exact metric over a window (sorted positions) or a ball (tree) that holds
+every possible minimiser.  Squares that overflow are inf and tie with one
+another, never with the row itself; the tree's ball query fails where
+squared distances may overflow, so such column sets take the matrix scan
+whatever their row count.  The row-count threshold, 160, is where matrix and
+tree cost the same for a single search; the chained statistic's sweep keeps
+the matrix cheaper up to 300-400 rows (README, "Performance").
+`scipy.spatial` is imported by the first k-d tree search, so a run below 160
+rows, and every null draw, needs numpy alone.  The matrix is the contract's
+row sum over C-contiguous rows.  numpy sums at most seven terms strictly
+left to right, so up to seven columns the same matrix results from adding
+per-column squared differences in column order, and column sets that share a
+prefix share its partial sum.  A sweep keeps those sums in one workspace per
+thread, reused by every sweep: per matrix of the stack, one squared-distance
+matrix per column and a chain of prefix sums, ``used + longest - 1`` n-by-n
+float64 matrices.  A stack holds as many matrices as keep the workspace
+within `_WORKSPACE_BYTES`, one core's L2 cache (`_stack_depth`): ten at 50
+rows and six columns (200 KB each), one for the built-in montage's 18
+columns at 115 rows (2.3 MB).  Sorted sets walk the chain depth first, so
+each prefix is summed once and each set is scanned right after its sum is
+formed.  numpy sums eight or more terms pairwise, so wider matrices are
+computed by the contract expression itself.
 """
 from __future__ import annotations
 
@@ -195,36 +202,37 @@ def _choose(candidates: np.ndarray, seed: int, j: int) -> int:
 
 
 class NeighborCandidates:
-    """Seed-free nearest-neighbour search result of one predictor matrix.
+    """Seed-free result of one neighbour sweep over a stack of matrices.
 
-    ``n_of`` holds each row's unique nearest other row; ``tied`` lists, for
-    every row with several exact minimisers, the row and its ascending
-    candidates.  `resolve` applies the tie-break convention for one seed, so a
-    single search serves every seed that shares the predictors.
+    ``n_of[s, f]`` holds, for column set s of matrix f, each row's nearest
+    other row: the unique one, or the first of several exact minimisers.
+    ``tied`` maps each ``(s, f)`` that has such rows to the rows and their
+    ascending candidates.  `resolve` applies the tie-break convention for one
+    seed, so a single sweep serves every seed that shares the predictors.
     """
 
     __slots__ = ("n_of", "tied")
 
-    def __init__(self, n_of: np.ndarray, tied=()):
+    def __init__(self, n_of: np.ndarray, tied: dict):
         self.n_of = n_of
-        self.tied = tuple(tied)
+        self.tied = tied
 
-    def resolve(self, seed: int) -> np.ndarray:
-        if not self.tied:
-            return self.n_of
-        n_of = self.n_of.copy()
-        for j, cand in self.tied:
+    def resolve(self, s: int, f: int, seed: int) -> np.ndarray:
+        """Each row's neighbour in set s of matrix f, ties drawn for ``seed``."""
+        n_of = self.n_of[s, f].copy()
+        for j, cand in self.tied.get((s, f), ()):
             n_of[j] = _choose(cand, seed, j)
         return n_of
 
 
-def _nn_sorted(x: np.ndarray) -> NeighborCandidates:
+def _nn_sorted(x: np.ndarray) -> tuple[np.ndarray, list]:
     """Sort-and-scan neighbour search for one column, O(n log n).
 
     Float squared gaps never shrink with distance in sorted order, so the row
     at sorted position p has its minimum at p - 1 or p + 1.  It is unique
     unless it equals the gap on the other side or one step further out on the
     same side; such rows are re-checked exactly over the window in the radius.
+    Returns each row's neighbour and the tied rows with their candidates.
     """
     order = np.argsort(x, kind="stable")
     sx = x[order]
@@ -238,14 +246,14 @@ def _nn_sorted(x: np.ndarray) -> NeighborCandidates:
     n_of = np.empty_like(order)
     n_of[order] = order[np.arange(order.size) + np.where(to_left, -1, 1)]
     recheck = np.flatnonzero((left == right) | (best == further))
+    tied = []
     if recheck.size == 0:
-        return NeighborCandidates(n_of)
+        return n_of, tied
     # differences below about 1.5e-154 have subnormal or zero squares, too
     # coarse for a relative radius, so the radius never shrinks below that
     radius = np.maximum(np.sqrt(best[recheck]) * (1.0 + 1e-9), 1e-150)
     lo = np.searchsorted(sx, sx[recheck] - radius, side="left")
     hi = np.searchsorted(sx, sx[recheck] + radius, side="right")
-    tied = []
     for p, a, b in zip(recheck.tolist(), lo.tolist(), hi.tolist()):
         j = int(order[p])
         if sx[a] == sx[b - 1]:  # all at distance zero, ascending (stable sort)
@@ -256,7 +264,7 @@ def _nn_sorted(x: np.ndarray) -> NeighborCandidates:
             n_of[j] = cand[0]
         else:
             tied.append((j, cand))
-    return NeighborCandidates(n_of, tied)
+    return n_of, tied
 
 
 def _exact_candidates(v: np.ndarray, j: int, idx: np.ndarray) -> np.ndarray:
@@ -267,21 +275,31 @@ def _exact_candidates(v: np.ndarray, j: int, idx: np.ndarray) -> np.ndarray:
     return idx[sq == sq.min()]
 
 
-def _nn_exhaustive(sq: np.ndarray) -> NeighborCandidates:
-    """Row-wise minimisers of a squared-distance matrix with infinite diagonal."""
-    n = sq.shape[0]
-    n_of = sq.argmin(axis=1)
-    best = sq[np.arange(n), n_of]
-    eq = sq == best[:, None]
-    if np.count_nonzero(eq) == n:  # one minimiser per row
-        return NeighborCandidates(n_of)
-    # a row whose every distance overflows also ties with its own inf diagonal
-    inf_rows = np.flatnonzero(best == np.inf)
-    eq[inf_rows, inf_rows] = False
-    n_of[inf_rows] = eq[inf_rows].argmax(axis=1)
-    tied = [(int(j), np.flatnonzero(eq[j]))
-            for j in np.flatnonzero(np.count_nonzero(eq, axis=1) > 1)]
-    return NeighborCandidates(n_of, tied)
+def _nn_scan(sq: np.ndarray, n_of: np.ndarray, starts: np.ndarray) -> dict:
+    """Row-wise minimisers of ``(k, n, n)`` squared distances, infinite diagonals.
+
+    One argmin writes each row's first minimiser into the ``(k, n)`` ``n_of``,
+    and one equality screen covers the stack.  Returns, for each matrix f
+    with rows of several exact minimisers, those rows and their candidates.
+    ``starts`` holds the flat position of each row, ``f * n * n + j * n``.
+    """
+    k, n, _ = sq.shape
+    sq.argmin(axis=2, out=n_of)
+    best = sq.reshape(-1)[n_of + starts]
+    eq = sq == best[:, :, None]
+    if np.count_nonzero(eq) == k * n:  # one minimiser per row
+        return {}
+    tied = {}
+    for f in np.flatnonzero(np.count_nonzero(eq.reshape(k, -1), axis=1) > n).tolist():
+        eq_f = eq[f]
+        # a row whose every distance overflows also ties with its own inf diagonal
+        inf_rows = np.flatnonzero(best[f] == np.inf)
+        eq_f[inf_rows, inf_rows] = False
+        n_of[f, inf_rows] = eq_f[inf_rows].argmax(axis=1)
+        rows = np.flatnonzero(np.count_nonzero(eq_f, axis=1) > 1)
+        if rows.size:
+            tied[f] = [(int(j), np.flatnonzero(eq_f[j])) for j in rows]
+    return tied
 
 
 def _square_safe_magnitude(d: int) -> float:
@@ -292,23 +310,30 @@ def _square_safe_magnitude(d: int) -> float:
 def _squares_may_overflow(v: np.ndarray) -> bool:
     """Whether a squared distance between rows of ``v`` may reach inf.
 
-    Each is below d (2 max|v|)**2; the test keeps a factor of four in hand.
+    Each is below d (2 max|v|)**2, d the last axis; the test keeps a factor
+    of four in hand.
     """
-    return bool(np.abs(v).max() >= _square_safe_magnitude(v.shape[1]))
+    return bool(np.abs(v).max() >= _square_safe_magnitude(v.shape[-1]))
 
 
 def _contract_sq(v: np.ndarray) -> np.ndarray:
-    """The contract's squared distances of C-contiguous rows, infinite diagonal."""
-    sq = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=-1)
-    np.fill_diagonal(sq, np.inf)
+    """The contract's squared distances of ``(k, n, d)`` C-contiguous rows.
+
+    One ``(n, n)`` matrix per leading index, with infinite diagonal.
+    """
+    k, n, _ = v.shape
+    sq = ((v[:, :, None, :] - v[:, None, :, :]) ** 2).sum(axis=-1)
+    sq.reshape(k, n * n)[:, ::n + 1] = np.inf
     return sq
 
 
-def _nn_kdtree(v: np.ndarray) -> NeighborCandidates:
+def _nn_kdtree(v: np.ndarray) -> tuple[np.ndarray, list]:
     n = v.shape[0]
     # squares at inf tie, and the tree's ball query fails where they may
     if _squares_may_overflow(v):
-        return _nn_exhaustive(_contract_sq(v))
+        n_of = np.empty((1, n), dtype=np.intp)
+        tied = _nn_scan(_contract_sq(v[None]), n_of, np.arange(0, n * n, n)[None])
+        return n_of[0], tied.get(0, [])
     from scipy.spatial import cKDTree  # loaded by the first search that needs it
 
     tree = cKDTree(v)
@@ -328,15 +353,17 @@ def _nn_kdtree(v: np.ndarray) -> NeighborCandidates:
             n_of[j] = cand[0]
         else:
             tied.append((int(j), cand))
-    return NeighborCandidates(n_of, tied)
+    return n_of, tied
 
 
 class NeighborSearch:
-    """Seed-free neighbour searches over column subsets of one finite matrix.
+    """Seed-free neighbour searches over column subsets of a stack of matrices.
 
-    `search_all` searches, in one sweep, the rows of ``z[:, cols]`` for each
-    ``cols`` of a list, summing squared differences in the order of
-    ``cols``.  `nearest_neighbors` is a sweep over one set, all columns.
+    ``z`` is a finite ``(k, n, d)`` stack, for example one predictor matrix per
+    frequency.  `search_all` searches, in one sweep, the rows of
+    ``z[f][:, cols]`` of every matrix f for each ``cols`` of a list, summing
+    squared differences in the order of ``cols``.  `nearest_neighbors` is a
+    sweep over one matrix and one set, all columns.
     """
 
     def __init__(self, z: np.ndarray):
@@ -347,12 +374,13 @@ class NeighborSearch:
         self._overflow = (functools.partial(np.errstate, over="ignore")
                           if _squares_may_overflow(self.z) else contextlib.nullcontext)
 
-    def search_all(self, sets) -> list[NeighborCandidates]:
-        """The search result of each column set, in order; the one backend choice.
+    def search_all(self, sets) -> NeighborCandidates:
+        """The search result of each column set in each matrix; the one backend choice.
 
         From `_EXHAUSTIVE_MAX_N` rows on, one column takes the sorted scan and
-        more the k-d tree, both re-checking near-ties exactly.  Below it every
-        set is scanned in its squared-distance matrix.  Sets of at most
+        more the k-d tree, matrix by matrix, both re-checking near-ties
+        exactly.  Below it every set is scanned in its squared-distance
+        matrices, the whole stack at once.  Sets of at most
         `_MAX_ACCUMULATED_WIDTH` columns are summed column by column into a
         chain of prefix sums, one slot per prefix length, in one reused
         workspace; a set recomputes only the prefixes longer than the one it
@@ -362,66 +390,90 @@ class NeighborSearch:
         """
         sets = [tuple(cols) for cols in sets]
         z = self.z
-        n = z.shape[0]
+        k, n, _ = z.shape
+        n_of = np.empty((len(sets), k, n), dtype=np.intp)
+        tied = {}
         with self._overflow():
             if n >= _EXHAUSTIVE_MAX_N:
-                return [_nn_sorted(z[:, cols[0]]) if len(cols) == 1
-                        else _nn_kdtree(np.ascontiguousarray(z[:, cols]))
-                        for cols in sets]
+                for s, cols in enumerate(sets):
+                    for f in range(k):
+                        n_of[s, f], found = (
+                            _nn_sorted(z[f, :, cols[0]]) if len(cols) == 1
+                            else _nn_kdtree(np.ascontiguousarray(z[f][:, cols])))
+                        if found:
+                            tied[s, f] = found
+                return NeighborCandidates(n_of, tied)
+            starts = np.arange(0, k * n * n, n).reshape(k, n)
             narrow = [cols for cols in sets if len(cols) <= _MAX_ACCUMULATED_WIDTH]
             if narrow:
                 used = sorted({c for cols in narrow for c in cols})
                 single = dict(zip(used, range(len(used))))
-                # one matrix per column, then one chain slot per prefix
-                # length past the first
-                ws = _workspace(len(used) + max(map(len, narrow)) - 1, n)
-                zu = z[:, used].T
+                # one stack of matrices per column, then one chain slot per
+                # prefix length past the first
+                ws = _workspace(len(used) + max(map(len, narrow)) - 1, k, n)
+                zu = z[:, :, used].transpose(2, 0, 1)
                 singles = ws[:len(used)]
-                np.subtract(zu[:, :, None], zu[:, None, :], out=singles)
+                np.subtract(zu[..., :, None], zu[..., None, :], out=singles)
                 np.square(singles, out=singles)
                 # every diagonal, and so every sum's
-                singles.reshape(len(used), n * n)[:, ::n + 1] = np.inf
+                singles.reshape(len(used) * k, n * n)[:, ::n + 1] = np.inf
                 chain = ws[len(used):]
 
-            def prefix(cols, k):
-                """Squared distances over ``cols[:k + 1]``."""
-                return chain[k - 1] if k else ws[single[cols[0]]]
+            def prefix(cols, i):
+                """Squared distances over ``cols[:i + 1]``."""
+                return chain[i - 1] if i else ws[single[cols[0]]]
 
-            out = []
             held: tuple[int, ...] = ()  # the set whose prefixes the chain holds
-            for cols in sets:
+            for s, cols in enumerate(sets):
                 if len(cols) > _MAX_ACCUMULATED_WIDTH:
                     # numpy sums a row of eight or more entries pairwise only
                     # when the row is contiguous in memory, as in the
                     # contract; a column selection would be summed in order
-                    out.append(_nn_exhaustive(
-                        _contract_sq(np.ascontiguousarray(z[:, cols]))))
-                    continue
-                shared = 0
-                while shared < min(len(cols), len(held)) and cols[shared] == held[shared]:
-                    shared += 1
-                for k in range(max(shared, 1), len(cols)):
-                    np.add(prefix(cols, k - 1), ws[single[cols[k]]], out=chain[k - 1])
-                held = cols
-                out.append(_nn_exhaustive(prefix(cols, len(cols) - 1)))
-        return out
+                    sq = _contract_sq(np.ascontiguousarray(z[:, :, cols]))
+                else:
+                    shared = 0
+                    while (shared < min(len(cols), len(held))
+                           and cols[shared] == held[shared]):
+                        shared += 1
+                    for i in range(max(shared, 1), len(cols)):
+                        np.add(prefix(cols, i - 1), ws[single[cols[i]]], out=chain[i - 1])
+                    held = cols
+                    sq = prefix(cols, len(cols) - 1)
+                for f, found in _nn_scan(sq, n_of[s], starts).items():
+                    tied[s, f] = found
+        return NeighborCandidates(n_of, tied)
 
 
 _local = threading.local()
+# a sweep's workspace stays within this many bytes, the size of one core's
+# L2 cache on the machines measured (README, "Performance")
+_WORKSPACE_BYTES = 2 * 2**20
 
 
-def _workspace(slots: int, n: int) -> np.ndarray:
-    """A ``(slots, n, n)`` float64 scratch array, reused by every sweep.
+def _workspace(slots: int, k: int, n: int) -> np.ndarray:
+    """A ``(slots, k, n, n)`` float64 scratch array, reused by every sweep.
 
     One buffer per thread, grown when a sweep needs more.  Reuse keeps it in
     cache; a buffer allocated afresh for each sweep faulted in no more pages
     but made the chained statistic slower (README, "Performance").
     """
-    size = slots * n * n
+    size = slots * k * n * n
     buf = getattr(_local, "buf", None)
     if buf is None or buf.size < size:
         buf = _local.buf = np.empty(size)
-    return buf[:size].reshape(slots, n, n)
+    return buf[:size].reshape(slots, k, n, n)
+
+
+def _stack_depth(sets, n: int) -> int:
+    """How many matrices of n rows one sweep over ``sets`` should take at once.
+
+    As many as keep the workspace of a matrix scan, ``(used columns +
+    longest set - 1) * n * n`` float64 per matrix, within `_WORKSPACE_BYTES`,
+    and at least one.  Past that a stack spills out of cache and runs slower
+    than one matrix at a time.
+    """
+    slots = len({c for cols in sets for c in cols}) + max(map(len, sets)) - 1
+    return max(1, _WORKSPACE_BYTES // (slots * n * n * 8))
 
 
 def _predictor_matrix(v) -> np.ndarray:
@@ -453,8 +505,8 @@ def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
     are valid neighbors at distance zero.
     """
     v = _predictor_matrix(v)
-    found = NeighborSearch(v).search_all([range(v.shape[1])])[0]
-    return NeighborIndex(n_of=found.resolve(seed))
+    found = NeighborSearch(v[None]).search_all([range(v.shape[1])])
+    return NeighborIndex(n_of=found.resolve(0, 0, seed))
 
 
 def _xi_ratios(r: np.ndarray, l: np.ndarray, r_nn: np.ndarray) -> np.ndarray:
@@ -490,20 +542,30 @@ def _exact_row_sums(terms: np.ndarray) -> list[int]:
 
 def _xi_terms(y: np.ndarray, z: np.ndarray, sets, term_resp: np.ndarray,
               term_set: np.ndarray, seed_of) -> np.ndarray:
-    """xi of each term t: row ``term_resp[t]`` of ``y`` on ``sets[term_set[t]]``.
+    """xi of each term t in matrix f: row ``term_resp[t]`` of ``y[f]`` on its set.
 
-    ``y`` holds finite ``(m, n)`` response rows and ``sets`` column tuples of
-    the finite ``(n, d)`` ``z``, sorted so the sweep shares their prefixes.
-    Ties of a term's set are drawn with ``seed_of(t)``, called for it alone.
-    A term whose response row is constant is NaN.
+    ``y`` holds a stack of finite ``(m, n)`` response rows, ``(k, m, n)``,
+    and ``sets`` column tuples of the finite ``(k, n, d)`` stack ``z``,
+    sorted so the sweep shares their prefixes; term t's set is
+    ``sets[term_set[t]]``.  One sort ranks all ``k * m`` rows, one sweep
+    searches every set in every matrix, and one reduction gives all
+    ``k * terms`` ratios.  Ties of a term's set in matrix f are
+    drawn with ``seed_of(f, t)``, called for that pair alone.  Returns
+    ``(k, terms)``; a term whose response row is constant there is NaN.
     """
-    r, l = _row_ranks(y)
+    k, m, n = y.shape
+    r, l = _row_ranks(y.reshape(k * m, n))
     found = NeighborSearch(z).search_all(sets)
-    n_of = np.stack([found[s].resolve(seed_of(t)) if found[s].tied else found[s].n_of
-                     for t, s in enumerate(term_set)])
-    n_of += np.arange(0, n_of.size, r.shape[1])[:, None]  # flat positions in r_t
-    r_t = r[term_resp]
-    return _xi_ratios(r_t, l[term_resp], r_t.reshape(-1)[n_of])
+    n_of = found.n_of[term_set]  # (terms, k, n)
+    for s, f in found.tied:
+        for t in np.flatnonzero(term_set == s).tolist():
+            n_of[t, f] = found.resolve(s, f, seed_of(f, t))
+    # the row of r holding each (term, matrix) response, and the flat
+    # positions in r of its rows' neighbours
+    rows = (term_resp[:, None] + np.arange(0, k * m, m)).reshape(-1)
+    n_of = n_of.reshape(-1, n)
+    n_of += (rows * n)[:, None]
+    return _xi_ratios(r[rows], l[rows], r.reshape(-1)[n_of]).reshape(-1, k).T
 
 
 def _one_ratio(values: np.ndarray) -> float:
@@ -538,8 +600,8 @@ def xi_n(u, v, seed: int = 0) -> float:
         raise ValueError("u and v must have the same number of observations")
     _check_values(u, "u")
     zero = np.zeros(1, dtype=np.intp)
-    return _one_ratio(_xi_terms(u[None], v, [range(v.shape[1])], zero, zero,
-                                lambda t: seed))
+    return _one_ratio(_xi_terms(u[None, None], v[None], [range(v.shape[1])], zero, zero,
+                                lambda f, t: seed)[0])
 
 
 def xi_null(n: int, seed: int = 0) -> float:
@@ -565,7 +627,10 @@ def _xi_null_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     Split across blocks, ``random`` and ``integers`` yield the values of one
     call (the bit generator keeps the spare half of a 64-bit word that
     ``integers`` below 2**32 leaves), so no float or int64 array larger than a
-    block is ever built.
+    block is ever built.  As in `_xi_ratios`, ``n * sum(min(r0, r0_nn))`` and
+    ``sum(l0**2)`` stay in int64 below `_INT64_SUM_MAX_N` rows, and the
+    ratio is numpy's; from there on they pass 2**63 (from about 2.64 and 3.02
+    million rows), so the draw is a quotient of Python integers.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -586,6 +651,10 @@ def _xi_null_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
             np.put_along_axis(r0[a:b], order, ranks, axis=1)
         for a, b in blocks:
             r0_nn = rng.integers(1, n + 1, size=(b - a, n), dtype=np.int64)
-            num = n * np.minimum(r0[a:b], r0_nn, out=r0_nn).sum(axis=1) - sum_l2
-            out[done + a:done + b] = num / den
+            mins = np.minimum(r0[a:b], r0_nn, out=r0_nn)
+            if n < _INT64_SUM_MAX_N:
+                out[done + a:done + b] = (n * mins.sum(axis=1) - sum_l2) / den
+            else:
+                out[done + a:done + b] = [(n * s - sum_l2) / den
+                                          for s in _exact_row_sums(mins)]
     return out

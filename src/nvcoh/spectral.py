@@ -6,8 +6,8 @@ squared frequency content at every retained Fourier frequency.  Feeding the
 per-frequency feature matrices of two channel groups into the vector
 dependence statistic yields the nonlinear vector coherence (NVC) profile.
 `_montage_profiles` gives the profiles of many region pairs at once: one
-term plan for the whole montage, one sweep per frequency, each region's
-periodograms computed once; `nvc_profile` is its one-pair case.
+term plan for the whole montage, one sweep per stack of frequencies, each
+region's periodograms computed once; `nvc_profile` is its one-pair case.
 The relative band power baseline, `rbp`, is a share of the same block
 periodograms, so it lives here too, and `baselines` re-exports it.
 `fan_out` runs one function over many tasks, in a process pool or
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rank_core import derive_seed
+from .rank_core import _stack_depth, derive_seed
 from .vector_measure import (  # noqa: F401  (bench/layers.py wraps t_n* here)
     PermutationPlan,
     _default_plan,
@@ -214,9 +214,9 @@ def _montage_profiles(tensors, pairs, block_len: int, fs: float, measure: str,
     ``(x, y)`` region indices of each pair, ``seeds`` each pair's seed and
     ``plans`` its ``(plan_x, plan_y)``; ``plan_x`` is None unless the measure
     is ``tstar``.  A `vector_measure._MontagePlan` holds every pair's terms,
-    and each frequency evaluates them all in one sweep.  A pair is NaN at a
-    frequency where one of its response channels is constant, and counts it
-    in its ``n_degenerate``.  In ``workers`` processes of ``executor``, each
+    and each stack of frequencies evaluates them all in one sweep.  A pair is
+    NaN at a frequency where one of its response channels is constant, and
+    counts it in its ``n_degenerate``.  In ``workers`` processes of ``executor``, each
     takes one contiguous chunk of the frequencies.
     """
     n = tensors[0].n_blocks
@@ -256,14 +256,21 @@ def _montage_terms(task) -> np.ndarray:
     """Every term's xi value at a chunk of frequencies, one row per frequency.
 
     ``task`` holds the montage plan's key, each region's periodograms at the
-    chunk's frequencies, the chunk's Fourier indices and the pair seeds.
+    chunk's frequencies, the chunk's Fourier indices and the pair seeds.  The
+    frequencies go to the evaluator in stacks of `rank_core._stack_depth`,
+    as many as keep one sweep's workspace in cache: ten at 50 blocks and six
+    channels, one for the built-in montage at 115 blocks.
     """
     key, blocks, ks, seeds = task
     plan = _montage_plan(*key)
+    # (frequency, block, montage column)
+    z = np.ascontiguousarray(np.concatenate(blocks, axis=1).transpose(2, 0, 1))
+    step = _stack_depth(plan.sets, z.shape[1])
     vals = np.empty((ks.size, len(plan.term_pair)))
-    for i, k in enumerate(ks):
-        z = np.concatenate([block[:, :, i] for block in blocks], axis=1)
-        vals[i] = plan.term_values(z, [derive_seed(seed, "freq", int(k)) for seed in seeds])
+    for a in range(0, ks.size, step):
+        vals[a:a + step] = plan.term_values(
+            z[a:a + step],
+            [[derive_seed(seed, "freq", int(k)) for seed in seeds] for k in ks[a:a + step]])
     return vals
 
 

@@ -18,11 +18,12 @@ direction: the term keys and the term indices of every ordering's chain.
 A `_MontagePlan` composes the term plans of many region pairs over one
 column space, each region's channels once, so pairs that share a region
 share its predictor sets and its response ranks; a single pair is the
-one-pair montage.  Each frequency then makes one call of
-`rank_core._xi_terms`, the evaluator that `rank_core.xi_n` runs as one term:
-one neighbour sweep over the distinct sets in lexicographic order (shared by
-all pairs and both directions of `t_n_star`), one stable sort ranking every
-response channel, one integer reduction for every term's xi ratio.  The
+one-pair montage.  Each stack of frequencies then makes one call of
+`rank_core._xi_terms`, the evaluator that `rank_core.xi_n` runs as one term
+at one frequency: one neighbour sweep over the distinct sets in
+lexicographic order (shared by all pairs, both directions of `t_n_star` and
+the stack's frequencies), one stable sort ranking every response channel at
+every frequency, one integer reduction for every term's xi ratio.  The
 chains follow per pair, as vector sums across orderings and frequencies.
 Exact ties are resolved per term with that term's seed, derived only when
 the search found a tie, so every term equals
@@ -219,7 +220,7 @@ class _TermPlan:
         constant.
         """
         vals = _montage_plan((pair.p, pair.q), ((0, 1, self.sides),)).term_values(
-            np.hstack([pair.x, pair.y]), (seed,))
+            np.hstack([pair.x, pair.y])[None], ((seed,),))[0]
         if np.isnan(vals).any():
             raise rank_core.DegenerateRanksError("all response values are tied")
         return vals
@@ -298,17 +299,20 @@ class _MontagePlan:
         self.term_resp = np.array([resp_of[c] for c in resp_cols])
 
     def term_values(self, z: np.ndarray, seeds) -> np.ndarray:
-        """The xi value of every term at one frequency, NaN where its response is constant.
+        """The xi value of every term at each of a stack of frequencies.
 
-        ``z`` holds the montage columns and ``seeds`` each pair's seed.  One
-        call of `rank_core._xi_terms`, the evaluator behind `xi_n`: a term
-        whose set has exact ties resolves them with its own `term_seed`.
+        ``z`` holds the montage columns at each frequency, ``(k, n,
+        columns)``, and ``seeds[f]`` each pair's seed at frequency f.  One
+        call of `rank_core._xi_terms`, the evaluator behind `xi_n`, for the
+        whole stack: a term whose set has exact ties at a frequency resolves
+        them with its own `term_seed` there.  Returns ``(k, terms)``, NaN
+        where a term's response is constant.
         """
-        def seed_of(t):
-            return term_seed(seeds[self.term_pair[t]], *self.term_keys[t])
+        def seed_of(f, t):
+            return term_seed(seeds[f][self.term_pair[t]], *self.term_keys[t])
 
-        return rank_core._xi_terms(z[:, self.responses].T, z, self.sets,
-                                   self.term_resp, self.term_set, seed_of)
+        return rank_core._xi_terms(z[:, :, self.responses].transpose(0, 2, 1), z,
+                                   self.sets, self.term_resp, self.term_set, seed_of)
 
     def estimates(self, vals: np.ndarray) -> list[np.ndarray]:
         """Each pair's statistic at every row of term values, ``(k, terms)``."""

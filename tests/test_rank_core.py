@@ -156,10 +156,10 @@ class TestNeighborSearch:
         # lattice rows, so ties hinge on the summation order of each set; the
         # contract sums C-contiguous rows, which column selection need not give
         z = np.random.default_rng(n).integers(0, 4, size=(n, 11)) * 0.1
-        search = NeighborSearch(z)
+        search = NeighborSearch(z[None])
         for cols in [(0,), (0, 1), (0, 1, 2), (2, 5, 7), (1, 0), tuple(range(7)),
                      tuple(range(8)), (10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0)]:
-            got = search.search_all([cols])[0].resolve(4)
+            got = search.search_all([cols]).resolve(0, 0, 4)
             want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=4)
             assert np.array_equal(got, want)
 
@@ -191,15 +191,16 @@ class TestNeighborSearch:
         assert np.array_equal(nearest_neighbors(v, seed=seed).n_of, want)
         # the column as a strided selection of a wider matrix
         z = np.column_stack([r.standard_normal(n), v])
-        assert np.array_equal(NeighborSearch(z).search_all([(1,)])[0].resolve(seed), want)
+        found = NeighborSearch(z[None]).search_all([(1,)])
+        assert np.array_equal(found.resolve(0, 0, seed), want)
 
     def test_overflowing_squares_in_several_column_sets(self):
         # each search silences the overflow on its own, one set after another
         z = np.random.default_rng(5).standard_normal((40, 3)) * 1e200
-        search = NeighborSearch(z)
+        search = NeighborSearch(z[None])
         for cols in [(0,), (0, 1), (2, 1, 0)]:
             want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=1)
-            assert np.array_equal(search.search_all([cols])[0].resolve(1), want)
+            assert np.array_equal(search.search_all([cols]).resolve(0, 0, 1), want)
 
     @pytest.mark.parametrize("n", [60, rank_core._EXHAUSTIVE_MAX_N + 5])
     def test_sweep_matches_brute_force(self, n):
@@ -209,10 +210,10 @@ class TestNeighborSearch:
         sets = sorted([(0,), (0, 1), (0, 1, 2), (0, 1, 3), (0, 2), (1,), (1, 2, 3, 4),
                        (1, 2, 3, 5), (2, 4, 6, 8), tuple(range(7)), tuple(range(8)),
                        tuple(range(9)), (3, 4, 5, 6, 7, 8), (8,)])
-        found = NeighborSearch(z).search_all(sets)
-        for cols, cand in zip(sets, found):
+        found = NeighborSearch(z[None]).search_all(sets)
+        for s, cols in enumerate(sets):
             want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=2)
-            assert np.array_equal(cand.resolve(2), want)
+            assert np.array_equal(found.resolve(s, 0, 2), want)
 
     def test_rows_whose_every_square_overflows(self):
         # at 1e154 a gap of 2e154 squares past the largest float64: row 0's
@@ -223,15 +224,52 @@ class TestNeighborSearch:
         z[0] = 1e154
         z[1] = z[2]
         sets = [(0,), (0, 1), (0, 1, 2), (0, 2), (1, 2), (2,)]
-        found = NeighborSearch(z).search_all(sets)
-        for cols, cand in zip(sets, found):
+        found = NeighborSearch(z[None]).search_all(sets)
+        for s, cols in enumerate(sets):
             want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=3)
-            assert np.array_equal(cand.resolve(3), want)
-            assert 0 in dict(cand.tied)
+            assert np.array_equal(found.resolve(s, 0, 3), want)
+            assert 0 in dict(found.tied[s, 0])
         assert np.array_equal(nearest_neighbors(z, seed=3).n_of,
                               brute_force_neighbors(z, seed=3))
         # with two rows, the other row is a single candidate, never a tie
         assert nearest_neighbors([[1e154], [-1e154]]).n_of.tolist() == [1, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.one_of(st.integers(2, 40), st.integers(rank_core._EXHAUSTIVE_MAX_N,
+                                                  rank_core._EXHAUSTIVE_MAX_N + 10)),
+       k=st.integers(2, 4), d=st.integers(1, 9),
+       large=st.sampled_from([0.5, 1.0, 4.0, 1e3]))
+def test_stacked_terms_equal_one_matrix_calls(seed, n, k, d, large):
+    # k stacked frequencies give, bit for bit, the values of k one-frequency
+    # calls: the lattice frequencies have exact ties, drawn with each
+    # frequency's own term seeds; frequency 0 has a constant response row; the
+    # last frequency's entries reach the magnitude from which squares may
+    # overflow (times ``large``), so its sweep silences the overflow
+    r = np.random.default_rng(seed)
+    lattice = r.random(k) < 0.5
+    z = np.where(lattice[:, None, None], r.integers(0, 3, size=(k, n, d)) * 0.1,
+                 r.standard_normal((k, n, d)))
+    y = np.where(lattice[:, None, None], r.integers(0, 3, size=(k, 3, n)),
+                 r.standard_normal((k, 3, n)))
+    y[0, 1] = 2.0
+    z[-1, 0] = 1.0
+    z[-1] *= large * rank_core._square_safe_magnitude(d) / np.abs(z[-1]).max()
+    # sets in lexicographic order; all d columns make one wider than 7 from d = 8
+    sets = sorted({tuple(r.permutation(d)[:r.integers(1, d + 1)].tolist())
+                   for _ in range(6)} | {tuple(range(d))})
+    term_set = r.integers(0, len(sets), size=8)
+    term_resp = r.integers(0, 3, size=8)
+    seeds = r.integers(0, 2**63, size=(k, 8)).tolist()
+    got = rank_core._xi_terms(y, z, sets, term_resp, term_set,
+                              lambda f, t: seeds[f][t])
+    assert got.shape == (k, 8)
+    for f in range(k):
+        want = rank_core._xi_terms(y[f:f + 1], z[f:f + 1], sets, term_resp, term_set,
+                                   lambda _, t: seeds[f][t])
+        assert got[f].tobytes() == want[0].tobytes()
+    assert np.isnan(got[0, term_resp == 1]).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -438,6 +476,24 @@ class TestXiNull:
         want = xi_null_reference(n, count, np.random.default_rng(n))
         got = rank_core._xi_null_batch(n, count, np.random.default_rng(n))
         assert got.tobytes() == want.tobytes()
+
+    def test_draw_past_int64_sums_is_exact(self):
+        # from about 2.64 million rows n * sum(min(r0, r0_nn)) passes 2**63,
+        # and from about 3.02 million sum(l0**2) does
+        n = 3_100_000
+        got = xi_null(n, seed=4)
+        rng = np.random.default_rng(4)
+        r0 = np.empty(n, dtype=np.int64)
+        r0[rng.random((1, n)).argsort(axis=1)[0]] = np.arange(1, n + 1)
+        r0_nn = rng.integers(1, n + 1, size=(1, n), dtype=np.int64)[0]
+        l0 = n + 1 - r0
+
+        def exact_sum(terms):  # int64 sums of 100,000 terms of at most n**2
+            return sum(int(c) for c in terms.reshape(-1, 100_000).sum(axis=1))
+
+        want = Fraction(exact_sum(n * np.minimum(r0, r0_nn) - l0 * l0),
+                        exact_sum(l0 * (n - l0)))
+        assert got == float(want)
 
     @pytest.mark.parametrize("n", [115, 595])
     def test_batch_memory_stays_below_a_chunk(self, n):

@@ -1,13 +1,15 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nvcoh import spectral
-from nvcoh.rank_core import derive_seed
+from nvcoh.cli import DEFAULT_ROIS
+from nvcoh.rank_core import _stack_depth, derive_seed
 from nvcoh.spectral import (
     CANONICAL_BANDS,
     BlockPeriodogramTensor,
@@ -21,7 +23,7 @@ from nvcoh.spectral import (
     nvc_profile,
     retained_indices,
 )
-from nvcoh.vector_measure import make_plan
+from nvcoh.vector_measure import _default_plan, _montage_plan, _sides, make_plan
 from oracles import t_bar_reference, t_reference, t_star_reference
 
 
@@ -194,7 +196,9 @@ class TestNvcProfile:
 
 
 # (blocks, p, q): the matrix scan at three sizes and the k-d tree regime
-_SHAPES = [(30, 2, 3), (80, 3, 1), (12, 4, 4), (170, 1, 2)]
+# (50, 3, 3) sweeps all nine frequencies in one stack, (120, 3, 3) one at a
+# time (`rank_core._stack_depth`)
+_SHAPES = [(30, 2, 3), (80, 3, 1), (12, 4, 4), (170, 1, 2), (50, 3, 3), (120, 3, 3)]
 
 
 def _tstar_profile(shape) -> np.ndarray:
@@ -207,7 +211,8 @@ def _tstar_profile(shape) -> np.ndarray:
 
 def test_interleaved_shapes_equal_fresh_processes():
     # term plans are cached across calls, and every sweep reuses one
-    # workspace, which holds the previous sweep's matrices when it starts;
+    # workspace, which holds the previous sweep's matrices, of another
+    # stack depth or row count, when it starts;
     # profiles of different shapes, interleaved in one process, equal each
     # shape's profile as the first call of a new interpreter
     tests = str(Path(__file__).resolve().parent)
@@ -221,8 +226,23 @@ def test_interleaved_shapes_equal_fresh_processes():
                               text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         fresh.append(bytes.fromhex(proc.stdout.strip()))
-    for i in (0, 2, 1, 3, 2, 0, 3, 1):
+    for i in (0, 4, 2, 5, 1, 3, 4, 2, 5, 0, 3, 1):
         assert _tstar_profile(_SHAPES[i]).tobytes() == fresh[i]
+
+
+def test_stack_depth_keeps_the_workspace_in_cache():
+    # (used columns + longest set - 1) * n * n * 8 bytes per frequency: 200 KB
+    # for tbar at 50 blocks and three channels a side, 2.3 MB for tstar over
+    # the built-in montage's 18 channels and 21 pairs at 115 blocks
+    plan = _default_plan(3, None, 1)
+    pair = _montage_plan((3, 3), ((0, 1, _sides("tbar", 3, plan_y=plan)),))
+    assert _stack_depth(pair.sets, 50) == 10
+    widths = tuple(map(len, DEFAULT_ROIS.values()))
+    pairs = tuple((a, b, _sides("tstar", widths[b], _default_plan(widths[a], None, 1),
+                                _default_plan(widths[b], None, 1)))
+                  for a, b in combinations(range(len(widths)), 2))
+    assert len(pairs) == 21
+    assert _stack_depth(_montage_plan(widths, pairs).sets, 115) == 1
 
 
 class TestBandSummary:
