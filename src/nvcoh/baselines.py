@@ -8,28 +8,33 @@ to the union of the analysed bands; it needs numpy alone, so it and the
 default lag window are declared in `spectral` and re-exported here.
 
 The result of `pbc` is defined by `_corr_at_lag`, the correlation of each lag
-computed on its own overlapping samples.  `pbc` screens every lag in one pass
-(cross products by one FFT, window moments from the sums of the dropped end
-samples), bounds the screen's distance to `_corr_at_lag` by a stated δ, and
-evaluates `_corr_at_lag` only at the lags that can hold the maximum; inputs on
-which the bound does not hold (extreme magnitudes, a window whose
-variance or offset swamps the rounding) evaluate every lag.  δ's FFT term
-rests on an assumed error constant (see `_screen`); while δ bounds the
-screen's error, the result equals the all-lag evaluation bit for bit.
-`sosfiltfilt` filters each column on its
-own, so `pbc_table` filters all region channels once per band, in one call,
-and takes each region's columns from that array; the values equal filtering
-region by region for every pair.  `scipy.signal` and `scipy.fft` load with
-this module, which the command line imports only for `nvc baseline`.
+computed on its own overlapping samples.  `_band_pbc` computes it for many
+channel pairs of one band at once.  It screens every lag of every pair:
+each channel is centred and transformed by one real FFT, and its window sums
+(the totals less the dropped end samples) are formed once, however many
+pairs hold it; each pair inverts the product of its two spectra, in batches
+of a bounded workspace.  A stated δ bounds the screen's distance to
+`_corr_at_lag`, which then runs only at the lags that can hold the maximum.
+A pair with a channel on which the bound does not hold (extreme magnitudes,
+a window whose variance or offset swamps the rounding) evaluates every lag;
+the other pairs keep the screen.  δ's FFT term rests on an assumed error
+constant (see `_screen_pairs`); while δ bounds the screen's error, the
+result equals the all-lag evaluation bit for bit.  `pbc` is the one-pair case;
+`pbc_matrix` and `region_pbc` screen a region pair's channels together.
+`sosfiltfilt` filters each column on its own, so `pbc_table` filters all
+region channels once per band, in one call, and screens every channel pair
+of every region pair of the band in one `_band_pbc`; the values equal
+filtering region by region for every pair.  `scipy.signal` and `scipy.fft`
+load with this module, which the command line imports only for
+`nvc baseline`.
 """
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 from scipy import fft as sfft
 from scipy import signal
 
+from .rank_core import _WORKSPACE_BYTES, DegenerateRanksError
 from .spectral import (  # noqa: F401  (bench/layers.py wraps block_periodograms here)
     DEFAULT_MAX_LAG,
     FrequencyBand,
@@ -87,28 +92,61 @@ def _corr_at_lag(x: np.ndarray, y: np.ndarray, lag: int) -> float:
     return float((xc @ yc) / denom)
 
 
-def _lag_moments(v: np.ndarray, max_lag: int, leading: bool) -> np.ndarray:
-    """Window sums of ``v`` at lags -max_lag..max_lag: the total less the dropped ends.
+def _window_sums(ends: np.ndarray, total: np.ndarray, max_lag: int) -> np.ndarray:
+    """Window sums of each channel at lags -max_lag..max_lag, in both roles.
 
-    The leading channel's window drops the last |lag| samples at lag >= 0 and
-    the first |lag| below; the lagging channel's the other way round.
+    ``ends`` holds each channel's first and last max_lag samples, ``(rows,
+    2 max_lag)``, and ``total`` the sum of all its samples.  Returns
+    ``(2, rows, lags)``: the total less the dropped end samples, first as the
+    leading channel, whose window drops the last |lag| samples at lag >= 0
+    and the first |lag| below, then as the lagging channel, the other way
+    round.
     """
-    total = v.sum()
-    without_first = total - np.concatenate(([0.0], np.cumsum(v[:max_lag])))
-    without_last = total - np.concatenate(([0.0], np.cumsum(v[::-1][:max_lag])))
-    if leading:
-        return np.concatenate((without_first[:0:-1], without_last))
-    return np.concatenate((without_last[:0:-1], without_first))
+    total = total[:, None]
+    zero = np.zeros_like(total)
+    without_first = total - np.concatenate((zero, np.cumsum(ends[:, :max_lag], axis=1)), axis=1)
+    without_last = total - np.concatenate(
+        (zero, np.cumsum(ends[:, ::-1][:, :max_lag], axis=1)), axis=1)
+    return np.stack((np.concatenate((without_first[:, :0:-1], without_last), axis=1),
+                     np.concatenate((without_last[:, :0:-1], without_first), axis=1)))
 
 
-def _screen(x: np.ndarray, y: np.ndarray, max_lag: int):
-    """Correlations at lags -max_lag..max_lag and a bound δ per lag, or None.
+def _check_channels(f: np.ndarray, labels, where: str) -> None:
+    """Refuse a column of ``f`` with a non-finite sample or no variance, naming it.
+
+    A non-finite sample is a ValueError, a constant column a
+    `DegenerateRanksError` (a ValueError too), each naming the columns by
+    ``labels`` and followed by ``where``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.ptp(f, axis=0)
+    # a non-finite spread means a non-finite sample or an overflowing max - min
+    bad = [labels[c] for c in np.flatnonzero(~np.isfinite(spread))
+           if not np.isfinite(f[:, c]).all()]
+    if bad:
+        raise ValueError(f"non-finite input: channel(s) {bad}{where}")
+    flat = [labels[c] for c in np.flatnonzero(spread == 0)]
+    if flat:
+        raise DegenerateRanksError(f"zero-variance input: channel(s) {flat}{where}")
+
+
+def _screen_pairs(f: np.ndarray, i: np.ndarray, j: np.ndarray, max_lag: int):
+    """Correlations of columns i[p] and j[p] of ``f`` at every lag, their bounds δ, kept.
+
+    ``f`` is ``(n, channels)``, finite.  Returns ``c`` and ``delta``, ``(pairs,
+    lags)`` at lags -max_lag..max_lag, and ``kept``, true for the pairs on
+    which δ bounds |c - `_corr_at_lag`|.  Each channel's work is done once,
+    however many pairs hold it: its centring, one real FFT and its window
+    sums as the leading (i) and as the lagging (j) channel.  Each pair then
+    inverts the product of its two spectra, in batches that keep the
+    transforms within `rank_core._WORKSPACE_BYTES`.
 
     Let u = 2**-53, g = 2n u / (1 - 2n u) and L = next_fast_len(n + max_lag).
-    The screen works on x0 = x - mean(x) and y0 = y - mean(y), with
-    N = ||x0||, Q = N**2 (and N', Q' for y0).  Per lag, with m = n - |lag|:
-    S_xy comes from one real FFT of length L (zero padding keeps it linear),
-    S_x and S_xx are the total less the dropped end samples, and
+    For the pair of x (leading) and y (lagging), the screen works on
+    x0 = x - mean(x) and y0 = y - mean(y), with N = ||x0||, Q = N**2 (and
+    N', Q' for y0).  Per lag, with m = n - |lag|: S_xy comes from one real
+    FFT of length L per channel and one inverse per pair (zero padding keeps
+    it linear), S_x and S_xx are the total less the dropped end samples, and
 
         cov = S_xy - S_x S_y / m,  v_x = S_xx - S_x**2 / m,
         c = cov / sqrt(v_x v_y).
@@ -116,13 +154,15 @@ def _screen(x: np.ndarray, y: np.ndarray, max_lag: int):
     Rounding (Higham, *Accuracy and Stability*, ch. 3 and 24, every sum of k
     terms within γ_k of the sum of magnitudes, in any order):
     |ΔS_x| <= g Σ|x0|, |ΔS_xx| <= g Q and, as m >= n / 2, |Δv_x| <= D_x = 8 g Q.
-    A length-L FFT has relative 2-norm error ε_F.  Its value is assumed, not
-    derived: a radix-2 analysis gives about 6.7 u per stage, but
-    `next_fast_len` lengths also have factors 3 and 5, whose butterflies that
-    analysis does not cover.  ε_F is taken as 10 u log2(L); on the tested
-    inputs the screen's error stayed below 6e-4 δ.  Through the product and
-    the inverse, |ΔS_xy| <= E = 4 (ε_F + u) sqrt(L) N N', so
-    |Δcov| <= D_c = E + 8 g N N'.
+    The order is free, so the row-wise sums over a stack of channels obey
+    the same bounds as one channel's.  A length-L FFT has relative 2-norm
+    error ε_F, per transform, so a batched call transforming many rows
+    obeys it row by row.  Its value is assumed, not derived: a radix-2
+    analysis gives about 6.7 u per stage, but `next_fast_len` lengths also
+    have factors 3 and 5, whose butterflies that analysis does not cover.
+    ε_F is taken as 10 u log2(L); on the tested inputs the screen's error
+    stayed below 6e-4 δ.  Through the product and the inverse,
+    |ΔS_xy| <= E = 4 (ε_F + u) sqrt(L) N N', so |Δcov| <= D_c = E + 8 g N N'.
     With v_lo = v_x - D_x (v_x > 3 D_x gives r_x = D_x / v_lo <= 1/2):
 
         |c - c_0| <= D_c / sqrt(v_lo v'_lo) + (1.5 (r_x + r_y) + 4 u) |c|,
@@ -138,49 +178,90 @@ def _screen(x: np.ndarray, y: np.ndarray, max_lag: int):
         δ = D_c / sqrt(v_lo v'_lo) + (1.5 (r_x + r_y) + 4 u) |c|
             + π (2 u N / s + 2 u N' / s' + ρ_x + ρ_y) / 2 + 3 g
 
-    bounds |c - `_corr_at_lag`| if ε_F holds.  None (every lag evaluated)
-    unless each input has max|x| <= 2**400 and N >= 2**-400, where
-    products neither overflow nor lose relative accuracy to underflow, and
-    every window has v_x > 3 D_x and ρ_x <= 1/2 (and likewise for y): a
-    variance within the bound of zero, or an offset that swamps the exact
-    path's centring.
+    bounds |c - `_corr_at_lag`| if ε_F holds.  A pair is kept if each channel,
+    in its role, has max|x| <= 2**400 and N >= 2**-400, where products neither
+    overflow nor lose relative accuracy to underflow, and every window of
+    the role has v_x > 3 D_x and ρ_x <= 1/2: not a variance within the bound
+    of zero, nor an offset that swamps the exact path's centring.
     """
-    n = x.size
+    n = f.shape[0]
     u = np.finfo(np.float64).eps / 2
     g = 2 * n * u / (1 - 2 * n * u)
-    mx, my = np.abs(x).max(), np.abs(y).max()
-    if max(mx, my) > 2.0 ** 400:
-        return None
-    x0 = x - x.mean()
-    y0 = y - y.mean()
-    qx, qy = x0 @ x0, y0 @ y0
-    if min(qx, qy) < 2.0 ** -800:
-        return None
-    nx, ny = np.sqrt(qx), np.sqrt(qy)
     size = sfft.next_fast_len(n + max_lag, real=True)
-    cross = sfft.irfft(np.conj(sfft.rfft(x0, size)) * sfft.rfft(y0, size), size)
-    sxy = np.concatenate((cross[size - max_lag:], cross[:max_lag + 1]))
     m = n - np.abs(np.arange(-max_lag, max_lag + 1))
-    sx, sy = _lag_moments(x0, max_lag, True), _lag_moments(y0, max_lag, False)
-    vx = _lag_moments(x0 * x0, max_lag, True) - sx * sx / m
-    vy = _lag_moments(y0 * y0, max_lag, False) - sy * sy / m
-    dx, dy = 8 * g * qx, 8 * g * qy
-    if not ((vx > 3 * dx).all() and (vy > 3 * dy).all()):
-        return None
-    vx_lo, vy_lo = vx - dx, vy - dy
-    sx_lo, sy_lo = np.sqrt(vx_lo) - 2 * u * nx, np.sqrt(vy_lo) - 2 * u * ny
-    rho_x = 2 * g * np.sqrt(n) * mx / sx_lo
-    rho_y = 2 * g * np.sqrt(n) * my / sy_lo
-    if not ((sx_lo > 0).all() and (sy_lo > 0).all()
-            and (rho_x <= 0.5).all() and (rho_y <= 0.5).all()):
-        return None
-    c = (sxy - sx * sy / m) / np.sqrt(vx * vy)
-    fft_err = 4 * (10 * u * np.log2(size) + u) * np.sqrt(size) * nx * ny
-    delta = ((fft_err + 8 * g * nx * ny) / np.sqrt(vx_lo * vy_lo)
-             + (1.5 * (dx / vx_lo + dy / vy_lo) + 4 * u) * np.abs(c)
-             + np.pi / 2 * (2 * u * nx / sx_lo + 2 * u * ny / sy_lo + rho_x + rho_y)
-             + 3 * g)
-    return c, delta
+    # channels outside the bound's range may overflow here; their pairs are not kept
+    with np.errstate(all="ignore"):
+        mx = np.maximum(f.max(axis=0), -f.min(axis=0))
+        x0 = np.array(f.T, order="C")  # a copy, one row per channel
+        x0 -= x0.mean(axis=1, keepdims=True)
+        q = np.einsum("ij,ij->i", x0, x0)
+        norm = np.sqrt(q)
+        spectra = sfft.rfft(x0, size, axis=-1)
+        ends = np.concatenate((x0[:, :max_lag], x0[:, n - max_lag:]), axis=1)
+        s = _window_sums(ends, x0.sum(axis=1), max_lag)
+        ss = _window_sums(ends * ends, q, max_lag)
+        del x0
+        # per role (leading, lagging), channel and lag
+        d = 8 * g * q[:, None]
+        v = ss - s * s / m
+        v_lo = v - d
+        s_lo = np.sqrt(v_lo) - 2 * u * norm[:, None]
+        rho = 2 * g * np.sqrt(n) * mx[:, None] / s_lo
+        ok = ((mx <= 2.0 ** 400) & (q >= 2.0 ** -800)
+              & (v > 3 * d).all(axis=2) & (s_lo > 0).all(axis=2) & (rho <= 0.5).all(axis=2))
+        r = d / v_lo
+        t = 2 * u * norm[:, None] / s_lo + rho
+
+        sxy = np.empty((i.size, m.size))
+        step = max(1, _WORKSPACE_BYTES // (3 * 8 * size))  # two spectra and one inverse
+        for a in range(0, i.size, step):
+            b = slice(a, a + step)
+            prod = spectra[i[b]]
+            np.conjugate(prod, out=prod)
+            prod *= spectra[j[b]]
+            cross = sfft.irfft(prod, size, axis=-1)
+            sxy[b, :max_lag] = cross[:, size - max_lag:]
+            sxy[b, max_lag:] = cross[:, :max_lag + 1]
+        c = (sxy - s[0, i] * s[1, j] / m) / np.sqrt(v[0, i] * v[1, j])
+        fft_err = 4 * (10 * u * np.log2(size) + u) * np.sqrt(size) * norm[i] * norm[j]
+        delta = (((fft_err + 8 * g * norm[i] * norm[j])[:, None]
+                  / np.sqrt(v_lo[0, i] * v_lo[1, j]))
+                 + (1.5 * (r[0, i] + r[1, j]) + 4 * u) * np.abs(c)
+                 + np.pi / 2 * (t[0, i] + t[1, j]) + 3 * g)
+    return c, delta, ok[0, i] & ok[1, j]
+
+
+def _band_pbc(f: np.ndarray, pairs, max_lag: int, labels, where: str = "") -> np.ndarray:
+    """PBC of each ``(i, j)`` column pair of the band-filtered ``f``, ``(n, channels)``.
+
+    Each pair's value is the largest squared `_corr_at_lag` of column i with
+    column j over lags -max_lag..max_lag.  `_screen_pairs` gives every lag's
+    correlation c with a bound δ on its distance to `_corr_at_lag` (derived
+    there, with an assumed FFT error constant); the lag of the largest exact
+    |c| satisfies |c| + δ >= max(|c| - δ), so `_corr_at_lag` runs only at the
+    lags that do, and while δ bounds the screen's error the result equals
+    evaluating every lag bit for bit.  A pair the screen does not keep
+    evaluates every lag; the other pairs keep the screen.  A non-finite
+    sample or a constant column is refused by `_check_channels`, naming it
+    by ``labels`` and ``where``.
+    """
+    if f.shape[0] < min_samples(max_lag):
+        raise ValueError(f"need at least {min_samples(max_lag)} samples for max_lag={max_lag}")
+    _check_channels(f, labels, where)
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    c, delta, kept = _screen_pairs(f, i, j, max_lag)
+    with np.errstate(invalid="ignore"):  # pairs not kept may hold NaN
+        mag = np.abs(c)
+        candidate = mag + delta >= (mag - delta).max(axis=1, keepdims=True)
+    candidate[~kept] = True
+    out = np.empty(i.size)
+    for p, (x, y) in enumerate(zip(i.tolist(), j.tolist())):
+        best = 0.0
+        for lag in (np.flatnonzero(candidate[p]) - max_lag).tolist():
+            r = _corr_at_lag(f[:, x], f[:, y], lag)
+            best = max(best, r * r)
+        out[p] = min(best, 1.0)
+    return out
 
 
 def pbc(x, y, max_lag: int = DEFAULT_MAX_LAG) -> float:
@@ -188,54 +269,26 @@ def pbc(x, y, max_lag: int = DEFAULT_MAX_LAG) -> float:
 
     Correlations are standardised on the overlapping samples of each lag, so
     the result is exactly symmetric in its arguments and bounded to [0, 1].
-
-    `_screen` gives every lag's correlation c with a bound δ on its distance
-    to `_corr_at_lag` (derivation there; its FFT error constant is assumed).
-    The lag with the largest exact |c| satisfies |c| + δ >= max(|c| - δ), so
-    `_corr_at_lag` runs only at lags that do; while δ bounds the screen's
-    error, the result equals evaluating every lag bit for bit.  Where the
-    bound does not hold, every lag is evaluated.  A NaN or infinite sample,
-    like a constant channel, is a ValueError.
+    The one-pair case of `_band_pbc`, which screens the lags and evaluates
+    `_corr_at_lag` only where the maximum can lie (its bound, with an assumed
+    FFT error constant, is derived there).  A NaN or infinite sample, like a
+    constant channel, is a ValueError.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size != y.size:
         raise ValueError("channels must have equal length")
-    if x.size < min_samples(max_lag):
-        raise ValueError(
-            f"need at least {min_samples(max_lag)} samples for max_lag={max_lag}")
-    for v in (x, y):
-        spread = np.ptp(v)
-        # a non-finite spread means a non-finite sample or an overflowing max - min
-        if not np.isfinite(spread) and not np.isfinite(v).all():
-            raise ValueError("non-finite input")
-        if spread == 0:
-            raise ValueError("zero-variance input")
-    lags = range(-max_lag, max_lag + 1)
-    screened = _screen(x, y, max_lag)
-    if screened is not None:
-        c, delta = screened
-        a = np.abs(c)
-        lags = (np.flatnonzero(a + delta >= (a - delta).max()) - max_lag).tolist()
-    best = 0.0
-    for lag in lags:
-        c = _corr_at_lag(x, y, lag)
-        best = max(best, c * c)
-    return min(best, 1.0)
-
-
-def _pbc_pairs(fx: np.ndarray, fy: np.ndarray, max_lag: int) -> np.ndarray:
-    """PBC of every column of ``fx`` with every column of ``fy``."""
-    out = np.empty((fx.shape[1], fy.shape[1]))
-    for i, j in product(range(fx.shape[1]), range(fy.shape[1])):
-        out[i, j] = pbc(fx[:, i], fy[:, j], max_lag=max_lag)
-    return out
+    return float(_band_pbc(np.column_stack((x, y)), [(0, 1)], max_lag, ("x", "y"))[0])
 
 
 def pbc_matrix(x: TimeSeriesMatrix, y: TimeSeriesMatrix, band: FrequencyBand,
                max_lag: int = DEFAULT_MAX_LAG) -> np.ndarray:
-    """PBC of every cross-region channel pair on band-filtered data."""
-    return _pbc_pairs(bandpass(x, band), bandpass(y, band), max_lag)
+    """PBC of every cross-region channel pair on band-filtered data, ``(p, q)``."""
+    p, q = x.n_channels, y.n_channels
+    f = np.hstack((bandpass(x, band), bandpass(y, band)))
+    pairs = [(i, p + j) for i in range(p) for j in range(q)]
+    return _band_pbc(f, pairs, max_lag, x.labels + y.labels,
+                     f" after the {band.name} band-pass").reshape(p, q)
 
 
 def pbc_table(ts: TimeSeriesMatrix, regions, pairs, bands,
@@ -244,17 +297,20 @@ def pbc_table(ts: TimeSeriesMatrix, regions, pairs, bands,
 
     ``regions`` maps region names to channel labels of ``ts``.  Each band
     filters every region channel in one call, not once per pair holding it,
-    and is released before the next band is filtered.
+    screens every channel pair of every region pair in one `_band_pbc`, and
+    is released before the next band is filtered.
     """
     channels = sorted({ch for pair in pairs for name in pair for ch in regions[name]})
     col = {ch: i for i, ch in enumerate(channels)}
+    cols = [(col[x], col[y]) for a, b in pairs for x in regions[a] for y in regions[b]]
+    splits = np.cumsum([len(regions[a]) * len(regions[b]) for a, b in pairs])[:-1]
     out = np.empty((len(pairs), len(bands)))
     for k, band in enumerate(bands):
-        f = bandpass(ts.select(channels), band)
-        for p, (a, b) in enumerate(pairs):
-            out[p, k] = _pbc_pairs(f[:, [col[ch] for ch in regions[a]]],
-                                   f[:, [col[ch] for ch in regions[b]]], max_lag).mean()
-        del f  # two filtered bands at once raise the peak resident set
+        # the filtered band lives only for the call: two at once raise the
+        # peak resident set
+        vals = _band_pbc(bandpass(ts.select(channels), band), cols, max_lag, channels,
+                         f" after the {band.name} band-pass")
+        out[:, k] = [v.mean() for v in np.split(vals, splits)]
     return out
 
 

@@ -178,6 +178,12 @@ def _load_recording(args, need: int, why: str) -> tuple[TimeSeriesMatrix, Region
             mean, std = data.mean(axis=0)[used], data.std(axis=0)[used]
         _reject_overflow(std, labels, "channel",
                          "the standard deviation would overflow float64")
+        # not constant, yet every squared deviation underflows (a channel of
+        # about 1e-162 scale or below): dividing by 0 would give inf and NaN
+        tiny = [labels[i] for i in np.flatnonzero(std == 0)]
+        if tiny:
+            raise DegenerateRanksError(f"channel(s) {tiny} cannot be standardized: "
+                                       "the standard deviation underflows to 0")
         data[:, used] = (data[:, used] - mean) / std
         return TimeSeriesMatrix(data=data, fs=ts.fs, labels=ts.labels), config
     with np.errstate(over="ignore"):

@@ -268,9 +268,13 @@ def _montage_terms(task) -> np.ndarray:
     step = _stack_depth(plan.sets, z.shape[1])
     vals = np.empty((ks.size, len(plan.term_pair)))
     for a in range(0, ks.size, step):
-        vals[a:a + step] = plan.term_values(
-            z[a:a + step],
-            [[derive_seed(seed, "freq", int(k)) for seed in seeds] for k in ks[a:a + step]])
+        # a pair's seed at a frequency is derived only for a tie that needs it,
+        # once per stack
+        @functools.cache
+        def seed_at(f, pair):
+            return derive_seed(seeds[pair], "freq", int(ks[a + f]))
+
+        vals[a:a + step] = plan.term_values(z[a:a + step], seed_at)
     return vals
 
 

@@ -220,7 +220,7 @@ class _TermPlan:
         constant.
         """
         vals = _montage_plan((pair.p, pair.q), ((0, 1, self.sides),)).term_values(
-            np.hstack([pair.x, pair.y])[None], ((seed,),))[0]
+            np.hstack([pair.x, pair.y])[None], lambda f, i: seed)[0]
         if np.isnan(vals).any():
             raise rank_core.DegenerateRanksError("all response values are tied")
         return vals
@@ -298,18 +298,19 @@ class _MontagePlan:
         self.term_set = np.array([set_of[cols] for cols in set_cols])
         self.term_resp = np.array([resp_of[c] for c in resp_cols])
 
-    def term_values(self, z: np.ndarray, seeds) -> np.ndarray:
+    def term_values(self, z: np.ndarray, seed_at) -> np.ndarray:
         """The xi value of every term at each of a stack of frequencies.
 
         ``z`` holds the montage columns at each frequency, ``(k, n,
-        columns)``, and ``seeds[f]`` each pair's seed at frequency f.  One
+        columns)``, and ``seed_at(f, i)`` gives pair i's seed at frequency f;
+        it is called only for a term whose set has exact ties there.  One
         call of `rank_core._xi_terms`, the evaluator behind `xi_n`, for the
         whole stack: a term whose set has exact ties at a frequency resolves
         them with its own `term_seed` there.  Returns ``(k, terms)``, NaN
         where a term's response is constant.
         """
         def seed_of(f, t):
-            return term_seed(seeds[f][self.term_pair[t]], *self.term_keys[t])
+            return term_seed(seed_at(f, self.term_pair[t]), *self.term_keys[t])
 
         return rank_core._xi_terms(z[:, :, self.responses].transpose(0, 2, 1), z,
                                    self.sets, self.term_resp, self.term_set, seed_of)

@@ -1,15 +1,19 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvcoh import baselines
 from nvcoh.baselines import (
     _corr_at_lag,
-    _screen,
+    _screen_pairs,
     bandpass,
     min_samples,
     pbc,
     pbc_matrix,
+    pbc_table,
     rbp,
     region_pbc,
 )
@@ -33,6 +37,13 @@ def pbc_every_lag(x, y, max_lag):
         c = _corr_at_lag(x, y, lag)
         best = max(best, c * c)
     return min(best, 1.0)
+
+
+def _screen_one(x, y, max_lag):
+    """The one-pair row of `_screen_pairs`: c and δ at every lag, and whether δ holds."""
+    c, delta, kept = _screen_pairs(np.column_stack((x, y)), np.array([0]), np.array([1]),
+                                   max_lag)
+    return c[0], delta[0], kept[0]
 
 
 def tone(freq_hz, n_sec=600, fs=100.0, phase=0.0):
@@ -158,7 +169,7 @@ class TestPbc:
         elif kind == "offset":
             x = x + 1e15
             y = 0.5 * x + 1e15 * r.standard_normal() + y
-            assert _screen(x, y, max_lag) is None
+            assert not _screen_one(x, y, max_lag)[2]
         elif kind == "rounded":
             x, y = np.round(x, 1), np.round(0.7 * x + y, 1)
         else:
@@ -171,7 +182,8 @@ class TestPbc:
     def test_screen_error_within_bound(self, rng):
         ts = make_ts(rng.standard_normal((6000, 2)))
         f = bandpass(ts, BANDS["alpha"])
-        c, delta = _screen(f[:, 0], f[:, 1], 50)
+        c, delta, kept = _screen_one(f[:, 0], f[:, 1], 50)
+        assert kept
         exact = [_corr_at_lag(f[:, 0], f[:, 1], lag) for lag in range(-50, 51)]
         assert np.all(np.abs(c - exact) <= delta)
         assert np.all(delta < 1e-6)  # tight enough to leave about one candidate
@@ -216,6 +228,82 @@ class TestRegionPbc:
         x, y = gen_case(1, 60, seed=2)
         vals = {name: region_pbc(x, y, band) for name, band in BANDS.items()}
         assert max(vals, key=vals.get) == "alpha"
+
+
+def _channel(kind, r, n, max_lag):
+    """One test channel: "offset", "tiny" and "edge" ones fall outside the screen's bound."""
+    if kind == "edge":  # windows that drop the last samples hold no variance
+        x = np.zeros(n)
+        x[n - max(max_lag, 1):] = r.standard_normal(max(max_lag, 1))
+        return x
+    if kind == "periodic":  # lags a period apart differ by rounding alone
+        period = int(r.integers(3, 13))
+        return np.sin(2 * np.pi * (np.arange(n) + r.integers(0, period)) / period)
+    if kind == "offset":
+        return 1e15 + r.standard_normal(n)
+    if kind == "rounded":
+        return np.round(r.standard_normal(n), 1)
+    if kind == "tiny":  # N below 2**-400 even after filtering
+        return 2.0 ** -420 * r.standard_normal(n)
+    return r.standard_normal(n)
+
+
+class TestBatchedScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+           kinds=st.lists(st.sampled_from(["noise", "periodic", "offset", "rounded", "tiny",
+                                           "edge"]), min_size=12, max_size=12),
+           max_lag=st.integers(0, 25), extra=st.integers(0, 300), filtered=st.booleans())
+    def test_every_pair_equals_every_lag(self, seed, sizes, kinds, max_lag, extra, filtered):
+        # one batch mixes screened pairs with pairs that evaluate every lag;
+        # unfiltered, the offset, rounded and edge channels reach the batch as
+        # drawn
+        r = np.random.default_rng(seed)
+        n = min_samples(max_lag) + extra
+        data = np.column_stack([_channel(kind, r, n, max_lag) for kind in kinds[:sum(sizes)]])
+        labels = tuple(f"c{i}" for i in range(data.shape[1]))
+        ts = make_ts(data, labels=labels)
+        bounds = np.cumsum([0] + sizes)
+        regions = {f"R{k}": labels[bounds[k]:bounds[k + 1]] for k in range(len(sizes))}
+        pairs = [("R0", "R0"), ("R1", "R0"), *[(f"R{a}", f"R{b}") for a in range(len(sizes))
+                                               for b in range(a + 1, len(sizes))]]
+        band = BANDS["alpha"]
+        with pytest.MonkeyPatch.context() as mp:
+            if not filtered:
+                mp.setattr(baselines, "bandpass", lambda ts, band: ts.data.copy())
+            f = dict(zip(labels, baselines.bandpass(ts, band).T))
+            table = pbc_table(ts, regions, pairs, [band], max_lag=max_lag)
+            for p, (a, b) in enumerate(pairs):
+                want = np.array([[pbc_every_lag(f[x], f[y], max_lag) for y in regions[b]]
+                                 for x in regions[a]])
+                got = pbc_matrix(ts.select(regions[a]), ts.select(regions[b]), band, max_lag)
+                assert got.tobytes() == want.tobytes()
+                assert table[p, 0] == want.mean()
+                for (i, x), (j, y) in product(enumerate(regions[a]), enumerate(regions[b])):
+                    assert pbc(f[x], f[y], max_lag) == want[i, j]
+
+    def test_one_forward_transform_per_channel(self, monkeypatch, rng):
+        # every channel pair of every region pair in a band shares one
+        # forward transform per channel; each pair has one inverse
+        counts = {"rfft": 0, "irfft": 0}
+
+        def counted(name):
+            real = getattr(baselines.sfft, name)
+
+            def transform(x, *args, axis=-1, **kwargs):
+                counts[name] += x.size // x.shape[axis]
+                return real(x, *args, axis=axis, **kwargs)
+            return transform
+
+        for name in counts:
+            monkeypatch.setattr(baselines.sfft, name, counted(name))
+        ts = make_ts(rng.standard_normal((3000, 7)))
+        regions = {"A": ("c0", "c1", "c2"), "B": ("c3",), "C": ("c4", "c5", "c6")}
+        pairs = [("A", "B"), ("A", "C"), ("C", "B"), ("C", "C")]
+        bands = [BANDS["theta"], BANDS["beta"]]
+        pbc_table(ts, regions, pairs, bands)
+        assert counts == {"rfft": 7 * len(bands), "irfft": (3 + 9 + 3 + 9) * len(bands)}
 
 
 class TestRbp:

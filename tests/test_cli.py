@@ -474,6 +474,33 @@ class TestExitCodesAndDeterminism:
         assert err.startswith("nvc: numerical degeneracy: ") and err.count("\n") == 1
         assert "['a']" in err
 
+    @staticmethod
+    def _tiny_channel_recording(tmp_path):
+        # channel a is not constant, but every squared deviation underflows
+        data = np.random.default_rng(0).standard_normal((3000, 2))
+        data[:, 0] *= 1e-320
+        rec = tmp_path / "rec.csv"
+        write_csv(rec, ["a", "b"], data)
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"RA": ["a"], "RB": ["b"]})
+        return ["--input", str(rec), "--regions", str(reg), "--fs", "100",
+                "--out-dir", str(tmp_path / "out"), "--seed", "0", "--discard-secs", "0"]
+
+    @pytest.mark.parametrize("command", ["analyze", "baseline"])
+    def test_standardizing_an_underflowing_channel(self, command, tmp_path, capsys):
+        rc = main([command, *self._tiny_channel_recording(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DEGENERATE
+        assert err.startswith("nvc: numerical degeneracy: ") and err.count("\n") == 1
+        assert "['a']" in err and "underflows" in err
+
+    def test_channel_filtered_to_zero_variance(self, tmp_path, capsys):
+        rc = main(["baseline", *self._tiny_channel_recording(tmp_path), "--no-standardize"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DEGENERATE
+        assert err.startswith("nvc: numerical degeneracy: ") and err.count("\n") == 1
+        assert "['a']" in err and "delta" in err
+
     def test_env_var_seed(self, tmp_path, monkeypatch):
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"

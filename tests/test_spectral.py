@@ -194,6 +194,38 @@ class TestNvcProfile:
                     "tstar": lambda: t_star_reference(xi, yi, perms, perms, seed)}[measure]()
             assert prof.estimates[i] == want
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_frequency_seeds_derived_only_for_ties(self, monkeypatch, tied):
+        # a pair's seed at a frequency is derived when a tie first needs it,
+        # once; rounded periodograms tie at every frequency, and their
+        # values equal the oracle's under the eagerly derived seeds
+        n, block_len = 40, 20
+        r = np.random.default_rng(5)
+        values = {"x": r.exponential(size=(n, 2, 9)), "y": r.exponential(size=(n, 2, 9))}
+        if tied:
+            values = {side: np.round(v) for side, v in values.items()}
+        freqs = retained_indices(block_len) * 100.0 / block_len
+        monkeypatch.setattr(spectral, "block_periodograms", lambda ts, _: (
+            BlockPeriodogramTensor(values[ts.labels[0][0]], freqs)))
+        calls = []
+
+        def counted(*parts):
+            if parts[1] == "freq":
+                calls.append(parts)
+            return derive_seed(*parts)
+
+        monkeypatch.setattr(spectral, "derive_seed", counted)
+        x = TimeSeriesMatrix(np.zeros((n * block_len, 2)), 100.0, ("x0", "x1"))
+        y = TimeSeriesMatrix(np.zeros((n * block_len, 2)), 100.0, ("y0", "y1"))
+        prof = nvc_profile(x, y, block_len, measure="tbar", seed=4)
+        assert len(calls) == len(set(calls))
+        assert {k for _, _, k in calls} == (set(retained_indices(block_len)) if tied else set())
+        perms = make_plan(2).perms
+        for i, k in enumerate(retained_indices(block_len)):
+            want = t_bar_reference(values["x"][:, :, i], values["y"][:, :, i], perms,
+                                   derive_seed(4, "freq", int(k)))
+            assert prof.estimates[i] == want
+
 
 # (blocks, p, q): the matrix scan at three sizes and the k-d tree regime
 # (50, 3, 3) sweeps all nine frequencies in one stack, (120, 3, 3) one at a
