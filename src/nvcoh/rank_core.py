@@ -627,10 +627,24 @@ def _xi_null_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     Split across blocks, ``random`` and ``integers`` yield the values of one
     call (the bit generator keeps the spare half of a 64-bit word that
     ``integers`` below 2**32 leaves), so no float or int64 array larger than a
-    block is ever built.  As in `_xi_ratios`, ``n * sum(min(r0, r0_nn))`` and
-    ``sum(l0**2)`` stay in int64 below `_INT64_SUM_MAX_N` rows, and the
-    ratio is numpy's; from there on they pass 2**63 (from about 2.64 and 3.02
-    million rows), so the draw is a quotient of Python integers.
+    block is ever built.  The first pass reuses one block's key buffers for
+    all of a chunk's blocks and frees them before the second.
+
+    Up to 2048 columns, where a key's 53 significant bits and a column index
+    of ``b = (n - 1).bit_length()`` bits fit one uint64, a block is ranked by
+    one in-place sort of the packed values ``(key * 2**53) << b | column``.
+    Every key `Generator.random` returns is a multiple of 2**-53, so
+    ``key * 2**(53 + b)`` is an exact integer below 2**64 and converts to
+    uint64 exactly.  After the sort, each value's low ``b`` bits are its
+    row's order.  Exact key ties, with a chance of about ``n**2 * 2**-54``
+    per row, break by column.  Past 2048 columns ``argsort`` gives the
+    order.  Either order, offset by its row's flat position, scatters the
+    ranks ``1..n`` into ``r0``.
+
+    As in `_xi_ratios`, ``n * sum(min(r0, r0_nn))`` and ``sum(l0**2)`` stay
+    in int64 below `_INT64_SUM_MAX_N` rows, and the ratio is numpy's; from
+    there on they pass 2**63 (from about 2.64 and 3.02 million rows), so the
+    draw is a quotient of Python integers.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -638,17 +652,13 @@ def _xi_null_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     # over a permutation of 1..n, sum(l0**2) and the denominator are constants of n
     sum_l2 = n * (n + 1) * (2 * n + 1) // 6
     den = n * n * (n + 1) // 2 - sum_l2
-    ranks = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
     chunk = max(1, 4_000_000 // n)
     block = max(1, 2**16 // n)
-    r0 = np.empty((min(chunk, count), n), dtype=ranks.dtype)
+    r0 = np.empty((min(chunk, count), n), dtype=np.min_scalar_type(n))
     for done in range(0, count, chunk):
         m = min(chunk, count - done)
         blocks = [(a, min(a + block, m)) for a in range(0, m, block)]
-        for a, b in blocks:
-            # the ranks of the keys: r0[i, order[i, k - 1]] = k
-            order = rng.random((b - a, n)).argsort(axis=1)
-            np.put_along_axis(r0[a:b], order, ranks, axis=1)
+        _rank_keys(rng, r0, blocks)
         for a, b in blocks:
             r0_nn = rng.integers(1, n + 1, size=(b - a, n), dtype=np.int64)
             mins = np.minimum(r0[a:b], r0_nn, out=r0_nn)
@@ -658,3 +668,34 @@ def _xi_null_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
                 out[done + a:done + b] = [(n * s - sum_l2) / den
                                           for s in _exact_row_sums(mins)]
     return out
+
+
+def _rank_keys(rng: np.random.Generator, r0: np.ndarray, blocks) -> None:
+    """The first pass of `_xi_null_batch`: fresh keys' ranks into each block ``a:b`` of ``r0``."""
+    n = r0.shape[1]
+    # a key's 53 bits and its column's fit one uint64 up to 2048 columns
+    bits = (n - 1).bit_length()
+    packs = 53 + bits <= 64
+    cols = np.arange(n, dtype=np.uint64)
+    mask = np.uint64((1 << bits) - 1)
+    # one block's keys and packed keys, reused by every block
+    rows = max(b - a for a, b in blocks)
+    keys = np.empty((rows, n))
+    packed = np.empty((rows, n), dtype=np.uint64)
+    starts = np.arange(0, rows * n, n)[:, None]
+    ranks = np.tile(np.arange(1, n + 1, dtype=r0.dtype), rows)
+    for a, b in blocks:
+        key = rng.random(out=keys[:b - a])
+        if packs:
+            key *= 2.0**(53 + bits)
+            order = packed[:b - a]
+            np.copyto(order, key, casting="unsafe")
+            order |= cols
+            order.sort(axis=1)
+            order &= mask
+            order = order.view(np.int64)
+        else:
+            order = key.argsort(axis=1)
+        # the ranks of the keys, r0[i, order[i, k - 1]] = k, through flat positions
+        order += starts[:b - a]
+        r0[a:b].reshape(-1)[order.reshape(-1)] = ranks[:order.size]

@@ -760,6 +760,26 @@ class TestRefusedInputs:
         assert rc == EXIT_DATA
         assert err.startswith("nvc: data error: feature(s) ['f0'] too large")
 
+    @pytest.mark.parametrize("command", ["analyze", "baseline", "compare"])
+    @pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+    def test_unreadable_input_file(self, command, unreadable, tmp_path, capsys):
+        if unreadable == "directory":
+            path, want = tmp_path / "input", f"cannot read {tmp_path / 'input'}: Is a directory"
+            path.mkdir()
+        else:
+            path = tmp_path / "input.csv"
+            path.write_bytes(b"f0,f1\n1,2\n\xff,3\n")
+            want = f"{path}: not UTF-8 text (invalid start byte)"
+        if command == "compare":
+            good = tmp_path / "good.csv"
+            write_csv(good, ["f0", "f1"], [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+            argv = ["compare", "--cohort-a", str(good), "--cohort-b", str(path)]
+        else:
+            argv = [command, "--input", str(path)]
+        rc, err = self.run(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+        assert rc == EXIT_DATA
+        assert err == f"nvc: data error: {want}\n"
+
     @pytest.mark.parametrize("command, bound", [
         # sum(x**2) against the neighbour search's bound for p + q = 4 columns
         # (analyze); sum(x**2)**2 for pbc

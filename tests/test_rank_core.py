@@ -470,6 +470,10 @@ class TestXiNull:
         (255, 600),  # the largest n whose ranks fit uint8
         (256, 600),  # the smallest n whose ranks need uint16
         (70_000, 5),  # row blocks of a single row
+        (2, 3000),  # one-bit column indices
+        (3, 3000),
+        (2048, 70),  # the most columns whose packed keys fit 64 bits
+        (2049, 70),  # the fewest that take argsort
     ])
     def test_streamed_batch_equals_the_definition(self, n, count):
         # chunks hold 4_000_000 // n rows and row blocks 2**16 // n (at least 1)
@@ -494,6 +498,14 @@ class TestXiNull:
         want = Fraction(exact_sum(n * np.minimum(r0, r0_nn) - l0 * l0),
                         exact_sum(l0 * (n - l0)))
         assert got == float(want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [2, 115, 2048])
+    def test_keys_are_multiples_of_2_to_the_minus_53(self, n, seed):
+        # the packed sort of the null draw shifts key * 2**53 left as an integer
+        scaled = np.random.default_rng(seed).random((40, n)) * 2.0**53
+        assert (scaled == np.floor(scaled)).all()
+        assert (scaled < 2.0**53).all()
 
     @pytest.mark.parametrize("n", [115, 595])
     def test_batch_memory_stays_below_a_chunk(self, n):
