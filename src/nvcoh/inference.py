@@ -55,7 +55,7 @@ def _null_batch(n, q, want, rng):
     num_sums = draws[:, :q].sum(axis=1)
     den_sums = draws[:, q:].sum(axis=1)
     # same form as the estimator: every draw is at most 1 (see
-    # `vector_measure._TermPlan.side_means`), so the denominator is at least
+    # `vector_measure._MontagePlan.estimates`), so the denominator is at least
     # 1, and q == 1 gives exactly one xi draw
     return (num_sums - den_sums) / (q - den_sums)
 

@@ -18,24 +18,24 @@ sort ranks the response rows of every matrix, one neighbour sweep searches
 the predictor sets in every matrix, and one reduction gives every ratio.
 `xi_n` and `nearest_neighbors` are stacks of one matrix.
 
-Neighbour search runs in two steps.  `NeighborSearch`, built on a stack of
-matrices, needs no seed: ``search_all(sets)`` returns, for each of a list of
-column subsets in each matrix, each row's nearest other row and, for rows
-with several exact minimisers, their candidates;
-`NeighborCandidates.resolve` then draws for one seed, so a term derives its
-seed only where its set has a tie in that matrix.  The search picks the
-backend by row count first: below ``_EXHAUSTIVE_MAX_N`` rows every column
-set, a single column included, is scanned in its squared-distance matrices,
-one argmin and one equality screen for the whole stack.  From there on a
-single column takes a sorted scan and more columns a k-d tree, matrix by
-matrix; both screen for the nearest row and re-check near-ties with the
-exact metric over a window (sorted positions) or a ball (tree) that holds
-every possible minimiser.  Squares that overflow are inf and tie with one
-another, never with the row itself; the tree's ball query fails where
-squared distances may overflow, so such column sets take the matrix scan
-whatever their row count.  The row-count threshold, 160, is where matrix and
-tree cost the same for a single search; the chained statistic's sweep keeps
-the matrix cheaper up to 300-400 rows (README, "Performance").
+Neighbour search runs in two steps.  ``search_all(z, sets)`` needs no seed:
+it returns, for each of a list of column subsets in each matrix of the stack
+``z``, each row's nearest other row and, for rows with several exact
+minimisers, their candidates; `NeighborCandidates.resolve` then draws for
+one seed, so a term derives its seed only where its set has a tie in that
+matrix.  `search_all` alone picks the backend, by row count first: below
+``_EXHAUSTIVE_MAX_N`` rows every column set, a single column included, is
+scanned in its squared-distance matrices, one argmin and one equality
+screen for the whole stack.  From there on a single column takes a sorted
+scan and more columns a k-d tree, matrix by matrix; both screen for the
+nearest row and re-check near-ties with the exact metric over a window
+(sorted positions) or a ball (tree) that holds every possible minimiser.
+Squares that overflow are inf and tie with one another, never with the row
+itself; the tree's ball query fails where squared distances may overflow,
+so such column sets take the matrix scan whatever their row count.  The
+row-count threshold, 160, is where matrix and tree cost the same for a
+single search; the chained statistic's sweep keeps the matrix cheaper up to
+300-400 rows (README, "Performance").
 `scipy.spatial` is imported by the first k-d tree search, so a run below 160
 rows, and every null draw, needs numpy alone.  The matrix is the contract's
 row sum over C-contiguous rows.  numpy sums at most seven terms strictly
@@ -55,7 +55,6 @@ computed by the contract expression itself.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import threading
 from dataclasses import dataclass
@@ -67,10 +66,10 @@ __all__ = [
     "RankTriple",
     "NeighborCandidates",
     "NeighborIndex",
-    "NeighborSearch",
     "derive_seed",
     "compute_ranks",
     "nearest_neighbors",
+    "search_all",
     "xi_from_ranks",
     "xi_n",
     "xi_null",
@@ -328,12 +327,8 @@ def _contract_sq(v: np.ndarray) -> np.ndarray:
 
 
 def _nn_kdtree(v: np.ndarray) -> tuple[np.ndarray, list]:
+    """k-d tree neighbour search of ``(n, d)`` rows whose squares cannot overflow."""
     n = v.shape[0]
-    # squares at inf tie, and the tree's ball query fails where they may
-    if _squares_may_overflow(v):
-        n_of = np.empty((1, n), dtype=np.intp)
-        tied = _nn_scan(_contract_sq(v[None]), n_of, np.arange(0, n * n, n)[None])
-        return n_of[0], tied.get(0, [])
     from scipy.spatial import cKDTree  # loaded by the first search that needs it
 
     tree = cKDTree(v)
@@ -356,92 +351,88 @@ def _nn_kdtree(v: np.ndarray) -> tuple[np.ndarray, list]:
     return n_of, tied
 
 
-class NeighborSearch:
-    """Seed-free neighbour searches over column subsets of a stack of matrices.
+def search_all(z: np.ndarray, sets) -> NeighborCandidates:
+    """Seed-free neighbour search of each column set in each matrix; the one backend choice.
 
-    ``z`` is a finite ``(k, n, d)`` stack, for example one predictor matrix per
-    frequency.  `search_all` searches, in one sweep, the rows of
-    ``z[f][:, cols]`` of every matrix f for each ``cols`` of a list, summing
-    squared differences in the order of ``cols``.  `nearest_neighbors` is a
-    sweep over one matrix and one set, all columns.
+    ``z`` is a finite float ``(k, n, d)`` stack, for example one predictor
+    matrix per frequency.  One sweep searches the rows of ``z[f][:, cols]``
+    of every matrix f for each ``cols`` of ``sets``, summing squared
+    differences in the order of ``cols``; `nearest_neighbors` is a sweep
+    over one matrix and one set, all columns.
+
+    From `_EXHAUSTIVE_MAX_N` rows on, one column takes the sorted scan and
+    more the k-d tree, matrix by matrix, both re-checking near-ties
+    exactly; a set of several columns whose squares may overflow takes the
+    matrix scan there instead, since the tree's ball query fails on them.
+    Below it every set is scanned in its squared-distance matrices, the
+    whole stack at once.  Sets of at most `_MAX_ACCUMULATED_WIDTH` columns
+    are summed column by column into a chain of prefix sums, one slot per
+    prefix length, in one reused workspace; a set recomputes only the
+    prefixes longer than the one it shares with the set before it.  So a
+    lexicographically sorted list walks its prefixes depth first, and each
+    set is scanned right after its sum is formed.
     """
-
-    def __init__(self, z: np.ndarray):
-        self.z = np.asarray(z, dtype=np.float64)
-        # squares that overflow are inf, as in the contract; silencing the
-        # warning slows every ufunc call, so only such data pays for it.  An
-        # errstate can be entered only once, so each sweep makes its own.
-        self._overflow = (functools.partial(np.errstate, over="ignore")
-                          if _squares_may_overflow(self.z) else contextlib.nullcontext)
-
-    def search_all(self, sets) -> NeighborCandidates:
-        """The search result of each column set in each matrix; the one backend choice.
-
-        From `_EXHAUSTIVE_MAX_N` rows on, one column takes the sorted scan and
-        more the k-d tree, matrix by matrix, both re-checking near-ties
-        exactly.  Below it every set is scanned in its squared-distance
-        matrices, the whole stack at once.  Sets of at most
-        `_MAX_ACCUMULATED_WIDTH` columns are summed column by column into a
-        chain of prefix sums, one slot per prefix length, in one reused
-        workspace; a set recomputes only the prefixes longer than the one it
-        shares with the set before it.  So a lexicographically sorted list
-        walks its prefixes depth first, and each set is scanned right after
-        its sum is formed.
-        """
-        sets = [tuple(cols) for cols in sets]
-        z = self.z
-        k, n, _ = z.shape
-        n_of = np.empty((len(sets), k, n), dtype=np.intp)
-        tied = {}
-        with self._overflow():
-            if n >= _EXHAUSTIVE_MAX_N:
-                for s, cols in enumerate(sets):
-                    for f in range(k):
-                        n_of[s, f], found = (
-                            _nn_sorted(z[f, :, cols[0]]) if len(cols) == 1
-                            else _nn_kdtree(np.ascontiguousarray(z[f][:, cols])))
-                        if found:
-                            tied[s, f] = found
-                return NeighborCandidates(n_of, tied)
-            starts = np.arange(0, k * n * n, n).reshape(k, n)
-            narrow = [cols for cols in sets if len(cols) <= _MAX_ACCUMULATED_WIDTH]
-            if narrow:
-                used = sorted({c for cols in narrow for c in cols})
-                single = dict(zip(used, range(len(used))))
-                # one stack of matrices per column, then one chain slot per
-                # prefix length past the first
-                ws = _workspace(len(used) + max(map(len, narrow)) - 1, k, n)
-                zu = z[:, :, used].transpose(2, 0, 1)
-                singles = ws[:len(used)]
-                np.subtract(zu[..., :, None], zu[..., None, :], out=singles)
-                np.square(singles, out=singles)
-                # every diagonal, and so every sum's
-                singles.reshape(len(used) * k, n * n)[:, ::n + 1] = np.inf
-                chain = ws[len(used):]
-
-            def prefix(cols, i):
-                """Squared distances over ``cols[:i + 1]``."""
-                return chain[i - 1] if i else ws[single[cols[0]]]
-
-            held: tuple[int, ...] = ()  # the set whose prefixes the chain holds
+    sets = [tuple(cols) for cols in sets]
+    k, n, _ = z.shape
+    n_of = np.empty((len(sets), k, n), dtype=np.intp)
+    tied = {}
+    # the flat position of each row of the stack, f * n * n + j * n, for `_nn_scan`
+    starts = np.arange(0, k * n * n, n).reshape(k, n)
+    # squares that overflow are inf, as in the contract; silencing the
+    # warning slows every ufunc call, so only such data pays for it
+    with (np.errstate(over="ignore") if _squares_may_overflow(z)
+          else contextlib.nullcontext()):
+        if n >= _EXHAUSTIVE_MAX_N:
             for s, cols in enumerate(sets):
-                if len(cols) > _MAX_ACCUMULATED_WIDTH:
-                    # numpy sums a row of eight or more entries pairwise only
-                    # when the row is contiguous in memory, as in the
-                    # contract; a column selection would be summed in order
-                    sq = _contract_sq(np.ascontiguousarray(z[:, :, cols]))
-                else:
-                    shared = 0
-                    while (shared < min(len(cols), len(held))
-                           and cols[shared] == held[shared]):
-                        shared += 1
-                    for i in range(max(shared, 1), len(cols)):
-                        np.add(prefix(cols, i - 1), ws[single[cols[i]]], out=chain[i - 1])
-                    held = cols
-                    sq = prefix(cols, len(cols) - 1)
-                for f, found in _nn_scan(sq, n_of[s], starts).items():
-                    tied[s, f] = found
-        return NeighborCandidates(n_of, tied)
+                for f in range(k):
+                    if len(cols) == 1:
+                        n_of[s, f], found = _nn_sorted(z[f, :, cols[0]])
+                    elif _squares_may_overflow(v := np.ascontiguousarray(z[f][:, cols])):
+                        found = _nn_scan(_contract_sq(v[None]), n_of[s, f:f + 1],
+                                         starts[:1]).get(0)
+                    else:
+                        n_of[s, f], found = _nn_kdtree(v)
+                    if found:
+                        tied[s, f] = found
+            return NeighborCandidates(n_of, tied)
+        narrow = [cols for cols in sets if len(cols) <= _MAX_ACCUMULATED_WIDTH]
+        if narrow:
+            used = sorted({c for cols in narrow for c in cols})
+            single = dict(zip(used, range(len(used))))
+            # one stack of matrices per column, then one chain slot per
+            # prefix length past the first
+            ws = _workspace(len(used) + max(map(len, narrow)) - 1, k, n)
+            zu = z[:, :, used].transpose(2, 0, 1)
+            singles = ws[:len(used)]
+            np.subtract(zu[..., :, None], zu[..., None, :], out=singles)
+            np.square(singles, out=singles)
+            # every diagonal, and so every sum's
+            singles.reshape(len(used) * k, n * n)[:, ::n + 1] = np.inf
+            chain = ws[len(used):]
+
+        def prefix(cols, i):
+            """Squared distances over ``cols[:i + 1]``."""
+            return chain[i - 1] if i else ws[single[cols[0]]]
+
+        held: tuple[int, ...] = ()  # the set whose prefixes the chain holds
+        for s, cols in enumerate(sets):
+            if len(cols) > _MAX_ACCUMULATED_WIDTH:
+                # numpy sums a row of eight or more entries pairwise only
+                # when the row is contiguous in memory, as in the
+                # contract; a column selection would be summed in order
+                sq = _contract_sq(np.ascontiguousarray(z[:, :, cols]))
+            else:
+                shared = 0
+                while (shared < min(len(cols), len(held))
+                       and cols[shared] == held[shared]):
+                    shared += 1
+                for i in range(max(shared, 1), len(cols)):
+                    np.add(prefix(cols, i - 1), ws[single[cols[i]]], out=chain[i - 1])
+                held = cols
+                sq = prefix(cols, len(cols) - 1)
+            for f, found in _nn_scan(sq, n_of[s], starts).items():
+                tied[s, f] = found
+    return NeighborCandidates(n_of, tied)
 
 
 _local = threading.local()
@@ -501,11 +492,11 @@ def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
         draw uniformly among them from a generator seeded with ``(seed, j)``;
         results are deterministic for a fixed seed.
 
-    See `NeighborSearch` for the backends.  Exact duplicates of a row
+    See `search_all` for the backends.  Exact duplicates of a row
     are valid neighbors at distance zero.
     """
     v = _predictor_matrix(v)
-    found = NeighborSearch(v[None]).search_all([range(v.shape[1])])
+    found = search_all(v[None], [range(v.shape[1])])
     return NeighborIndex(n_of=found.resolve(0, 0, seed))
 
 
@@ -555,7 +546,7 @@ def _xi_terms(y: np.ndarray, z: np.ndarray, sets, term_resp: np.ndarray,
     """
     k, m, n = y.shape
     r, l = _row_ranks(y.reshape(k * m, n))
-    found = NeighborSearch(z).search_all(sets)
+    found = search_all(z, sets)
     n_of = found.n_of[term_set]  # (terms, k, n)
     for s, f in found.tied:
         for t in np.flatnonzero(term_set == s).tolist():

@@ -30,7 +30,7 @@ from .cases import (
 )
 from .inference import null_ensemble, p_values
 from .rank_core import derive_seed
-from .spectral import TimeSeriesMatrix, fan_out, nvc_profile, retained_indices
+from .spectral import MEASURES, TimeSeriesMatrix, fan_out, nvc_profile, retained_indices
 
 __all__ = [
     "LatentOscillatorSpec",
@@ -144,12 +144,21 @@ class SimulationReport:
         raise KeyError(f"no set row for case={case_id}, n_sec={n_sec}, set={set_name}")
 
 
-def check_study(cases, n_secs, block_len: int, fs: float) -> None:
+def check_study(cases, n_secs, block_len: int, fs: float, measure: str,
+                null_reps: int) -> None:
     """Reject settings under which every replicate would fail, before any runs.
 
-    Each case's latent peaks must lie below fs/2, and each recording must hold
-    at least 10 seconds and two complete blocks.
+    The measure must be one of `spectral.MEASURES`, blocks at least 4
+    samples long and the null at least one replicate.  Each case's latent
+    peaks must lie below fs/2, and each recording must hold at least 10
+    seconds and two complete blocks.
     """
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    if block_len < 4:
+        raise ValueError("block_len must be at least 4")
+    if null_reps < 1:
+        raise ValueError("null_reps must be at least 1")
     for case_id in cases:
         case = CASES[case_id]
         top = max(BAND_PEAK_HZ[band] for channel in case.x_wiring + case.y_wiring
@@ -202,7 +211,7 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
     """
     if replicates < 10:
         raise ValueError("need at least 10 replicates")
-    check_study(cases, n_secs, block_len, fs)
+    check_study(cases, n_secs, block_len, fs, measure, null_reps)
     freqs_hz = retained_indices(block_len) * fs / block_len
     cells = [(case_id, n_sec) for case_id in cases for n_sec in n_secs]
     tasks = [(case_id, n_sec, fs, block_len, measure, modulus,

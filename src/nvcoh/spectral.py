@@ -6,7 +6,7 @@ squared frequency content at every retained Fourier frequency.  Feeding the
 per-frequency feature matrices of two channel groups into the vector
 dependence statistic yields the nonlinear vector coherence (NVC) profile.
 `_montage_profiles` gives the profiles of many region pairs at once: one
-term plan for the whole montage, one sweep per stack of frequencies, each
+plan for the whole montage, one sweep per stack of frequencies, each
 region's periodograms computed once; `nvc_profile` is its one-pair case.
 The relative band power baseline, `rbp`, is a share of the same block
 periodograms, so it lives here too, and `baselines` re-exports it.
@@ -208,7 +208,7 @@ def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
 def _montage_profiles(tensors, pairs, block_len: int, fs: float, measure: str,
                       seeds, plans, workers: int = 1,
                       executor=None) -> list[SpectralDependenceProfile]:
-    """The NVC profile of each region pair of a montage, through one term plan.
+    """The NVC profile of each region pair of a montage, through one montage plan.
 
     ``tensors`` holds one `BlockPeriodogramTensor` per region, ``pairs`` the
     ``(x, y)`` region indices of each pair, ``seeds`` each pair's seed and
@@ -336,14 +336,18 @@ def _recorded(fn, task):
 
 
 def fan_out(fn, tasks, workers: int, executor) -> list:
-    """``[fn(task) for task in tasks]``, in one pool of ``workers`` processes if > 1.
+    """``[fn(task) for task in tasks]``, in one pool of processes if more than one.
 
-    ``executor`` is the pool class, passed by the caller so that each module's
-    `ProcessPoolExecutor` name can be swapped for an in-process stand-in.
-    Warnings are recorded where each task runs, so a worker prints none; each
-    distinct message is issued once here, in task order, after every task.
+    The pool holds ``workers`` processes, but never more than there are
+    tasks, since a pool starts all its processes up front; with one, the
+    tasks run in this process.  ``executor`` is the pool class, passed by
+    the caller so that each module's `ProcessPoolExecutor` name can be
+    swapped for an in-process stand-in.  Warnings are recorded where each
+    task runs, so a worker prints none; each distinct message is issued once
+    here, in task order, after every task.
     """
     run = functools.partial(_recorded, fn)
+    workers = min(workers, len(tasks))
     if workers > 1:
         with executor(max_workers=workers) as pool:
             outcomes = list(pool.map(run, tasks))

@@ -12,14 +12,13 @@ predictor columns) and seeded from that key, so identical terms appearing
 under several column orderings are computed once and the whole computation is
 reproducible term by term.
 
-The terms of `t_n`, `t_n_bar` and `t_n_star` are compiled once per pair
-shape into a `_TermPlan`, cached by ``(p, q)`` and the orderings of each
-direction: the term keys and the term indices of every ordering's chain.
-A `_MontagePlan` composes the term plans of many region pairs over one
-column space, each region's channels once, so pairs that share a region
-share its predictor sets and its response ranks; a single pair is the
-one-pair montage.  Each stack of frequencies then makes one call of
-`rank_core._xi_terms`, the evaluator that `rank_core.xi_n` runs as one term
+One plan class, `_MontagePlan`, compiles the terms of many region pairs
+over one column space, each region's channels once, cached by the region
+widths and each pair's regions and response orderings: per pair the term
+keys and the term indices of every ordering's chain.  Pairs that share a
+region share its predictor sets and its response ranks; `t_n`, `t_n_bar`
+and `t_n_star` run the one-pair plan.  Each stack of frequencies makes one
+call of `rank_core._xi_terms`, the evaluator that `rank_core.xi_n` runs as one term
 at one frequency: one neighbour sweep over the distinct sets in
 lexicographic order (shared by all pairs, both directions of `t_n_star` and
 the stack's frequencies), one stable sort ranking every response channel at
@@ -162,135 +161,67 @@ def term_seed(seed: int, direction: str, response: str, predictors) -> int:
     return derive_seed(seed, direction, response, tuple(sorted(predictors)))
 
 
-class _TermPlan:
-    """Every xi term of one pair shape's statistic, compiled once and cached.
-
-    ``sides`` lists, per direction of the statistic, its response orderings.
-    Columns are indexed by the position of their label (``x0 .. y{q-1}``) in
-    string order, so a sorted index tuple is a label-sorted predictor set:
-    the summation order of the squared distances and the ``repr`` entering
-    `term_seed` both follow it; ``order`` maps each position to the column
-    of ``hstack([x, y])``.  The plan holds:
-
-    * ``terms``, the keys ``(direction, response, predictors)`` in first-use
-      order (an ordering's numerator term before its denominator term);
-    * per side, the term indices of each ordering's numerator and denominator
-      chains, one row per ordering.
-
-    `_MontagePlan` evaluates the terms; a pair alone is a one-pair montage.
-    """
-
-    def __init__(self, p: int, q: int, sides):
-        self.sides = sides
-        labels = [f"x{i}" for i in range(p)] + [f"y{i}" for i in range(q)]
-        self.order = sorted(range(p + q), key=labels.__getitem__)
-        self.labels = [labels[c] for c in self.order]
-        pos = {c: i for i, c in enumerate(self.order)}
-        x_cols = tuple(pos[i] for i in range(p))
-        y_cols = tuple(pos[p + i] for i in range(q))
-        blocks = {"y_on_x": (x_cols, y_cols), "x_on_y": (y_cols, x_cols)}
-        index: dict = {}
-
-        def term(direction, response, predictors):
-            return index.setdefault((direction, response, tuple(sorted(predictors))),
-                                    len(index))
-
-        self.chains = []
-        for direction, perms in sides:
-            pred_cols, resp_cols = blocks[direction]
-            num, den = [], []
-            for perm in perms:
-                order = tuple(resp_cols[i] for i in perm)
-                num_row, den_row = [], []
-                for ell, resp in enumerate(order):
-                    num_row.append(term(direction, resp, pred_cols + order[:ell]))
-                    if ell >= 1:
-                        den_row.append(term(direction, resp, order[:ell]))
-                num.append(num_row)
-                den.append(den_row)
-            self.chains.append((np.array(num, dtype=np.intp), np.array(den, dtype=np.intp)))
-        self.terms = list(index)
-
-    def term_values(self, pair: FeatureMatrixPair, seed: int) -> np.ndarray:
-        """The xi value of every term on one pair, in the order of ``terms``.
-
-        The one-pair case of `_MontagePlan.term_values`: each value equals
-        ``xi_n(response, predictors, seed=term_seed(...))`` bit for bit.
-        Raises `rank_core.DegenerateRanksError` when a response column is
-        constant.
-        """
-        vals = _montage_plan((pair.p, pair.q), ((0, 1, self.sides),)).term_values(
-            np.hstack([pair.x, pair.y])[None], lambda f, i: seed)[0]
-        if np.isnan(vals).any():
-            raise rank_core.DegenerateRanksError("all response values are tied")
-        return vals
-
-    def estimates(self, vals: np.ndarray) -> np.ndarray:
-        """The statistic of each row of term values, ``(k, len(terms))``.
-
-        Per side, the mean of the chained statistic over its orderings; the
-        larger side's where there are two.  A NaN term makes its row NaN.
-        """
-        means = []
-        for num_idx, den_idx in self.chains:
-            # summed term by term, left to right, as the chain is defined
-            num_sum = np.zeros((vals.shape[0], num_idx.shape[0]))
-            for col in num_idx.T:
-                num_sum += vals[:, col]
-            den_sum = np.zeros((vals.shape[0], num_idx.shape[0]))
-            for col in den_idx.T:
-                den_sum += vals[:, col]
-            # Each xi term is at most 1: its numerator sum(n*min(r, r_nn) - l^2)
-            # is at most sum(n*r - l^2), which equals the denominator
-            # sum(l*(n-l)) because sum(r) == sum(l) (both count the ordered
-            # pairs with u_i <= u_j).  The q-1 terms of den_sum thus leave
-            # q - den_sum >= 1, in floats as well.  The form below is
-            # algebraically 1 - (q - num_sum)/(q - den_sum) and collapses to
-            # the single xi value exactly when q == 1.
-            q = num_idx.shape[1]
-            means.append(np.mean((num_sum - den_sum) / (q - den_sum), axis=1))
-        # like max(), np.maximum keeps the first side on a tie; unlike it, it
-        # propagates NaN
-        return functools.reduce(np.maximum, means)
-
-
-@functools.lru_cache(maxsize=128)
-def _term_plan(p: int, q: int, sides) -> _TermPlan:
-    return _TermPlan(p, q, sides)
-
-
 class _MontagePlan:
     """Every xi term of a montage's region pairs, compiled into one column space.
 
     ``widths`` gives each region's channel count; its columns follow one
-    another in region order.  ``pairs`` lists ``(x region, y region, sides)``.
-    Each pair's cached `_TermPlan` is mapped into this space: a predictor set
-    becomes the tuple of its montage columns in the pair's own summation
-    order (the label order of ``x0 .. y{q-1}``), so every squared distance is
-    summed as for the pair alone, and a region paired with itself repeats its
-    columns.  ``sets`` holds the distinct tuples of all pairs in
-    lexicographic order and ``responses`` the distinct response columns, so
-    one sweep searches each set once and one sort ranks each channel once.
-    Terms keep their pair's order, pair after pair; ``pairs`` keeps each
-    pair's plan and its slice of the terms.
+    another in region order.  ``pairs`` lists ``(x region, y region, sides)``,
+    where ``sides`` lists, per direction of the statistic, its response
+    orderings.  Within a pair, channels are named ``x0 .. x{p-1}`` and
+    ``y0 .. y{q-1}``, and a predictor set is held in label (string) order:
+    the summation order of the squared distances and the ``repr`` entering
+    `term_seed` both follow it, so every squared distance is summed as for
+    the pair alone, and a region paired with itself repeats its columns.
+    The plan holds:
+
+    * ``term_keys``, each pair's distinct keys ``(direction, response,
+      predictors)`` in first-use order (an ordering's numerator term before
+      its denominator term), pair after pair, and ``term_pair``, the pair of
+      each term;
+    * ``chains``, per pair and side, the term indices of each ordering's
+      numerator and denominator chains, one row per ordering;
+    * ``sets``, the distinct column tuples of all terms in lexicographic
+      order, and ``responses``, the distinct response columns, so one sweep
+      searches each set once and one sort ranks each channel once.
     """
 
     def __init__(self, widths: tuple[int, ...], pairs):
         offsets = np.cumsum((0,) + widths).tolist()
-        self.pairs, self.term_pair, self.term_keys = [], [], []
+        self.chains, self.term_pair, self.term_keys = [], [], []
         set_cols, resp_cols = [], []
         for i, (a, b, sides) in enumerate(pairs):
-            plan = _term_plan(widths[a], widths[b], sides)
-            columns = [*range(offsets[a], offsets[a + 1]), *range(offsets[b], offsets[b + 1])]
-            col = [columns[c] for c in plan.order]
-            start = len(self.term_pair)
-            for direction, resp, preds in plan.terms:
-                self.term_pair.append(i)
-                self.term_keys.append((direction, plan.labels[resp],
-                                       [plan.labels[c] for c in preds]))
-                set_cols.append(tuple(col[c] for c in preds))
-                resp_cols.append(col[resp])
-            self.pairs.append((plan, slice(start, len(self.term_pair))))
+            x = [f"x{c}" for c in range(widths[a])]
+            y = [f"y{c}" for c in range(widths[b])]
+            column = dict(zip(x + y, [*range(offsets[a], offsets[a + 1]),
+                                      *range(offsets[b], offsets[b + 1])]))
+            blocks = {"y_on_x": (x, y), "x_on_y": (y, x)}
+            index: dict = {}
+
+            def term(direction, response, predictors):
+                key = (direction, response, tuple(sorted(predictors)))
+                if key not in index:
+                    index[key] = len(self.term_keys)
+                    self.term_keys.append(key)
+                    self.term_pair.append(i)
+                    set_cols.append(tuple(column[c] for c in key[2]))
+                    resp_cols.append(column[response])
+                return index[key]
+
+            chains = []
+            for direction, perms in sides:
+                preds, resps = blocks[direction]
+                num, den = [], []
+                for perm in perms:
+                    order = [resps[c] for c in perm]
+                    num_row, den_row = [], []
+                    for ell, resp in enumerate(order):
+                        num_row.append(term(direction, resp, preds + order[:ell]))
+                        if ell >= 1:
+                            den_row.append(term(direction, resp, order[:ell]))
+                    num.append(num_row)
+                    den.append(den_row)
+                chains.append((np.array(num, dtype=np.intp), np.array(den, dtype=np.intp)))
+            self.chains.append(chains)
         self.sets = sorted(set(set_cols))
         self.responses = sorted(set(resp_cols))
         set_of = {cols: i for i, cols in enumerate(self.sets)}
@@ -316,8 +247,35 @@ class _MontagePlan:
                                    self.sets, self.term_resp, self.term_set, seed_of)
 
     def estimates(self, vals: np.ndarray) -> list[np.ndarray]:
-        """Each pair's statistic at every row of term values, ``(k, terms)``."""
-        return [plan.estimates(vals[:, terms]) for plan, terms in self.pairs]
+        """Each pair's statistic at every row of term values, ``(k, terms)``.
+
+        Per side, the mean of the chained statistic over its orderings; the
+        larger side's where there are two.  A NaN term makes its row NaN.
+        """
+        out = []
+        for chains in self.chains:
+            means = []
+            for num_idx, den_idx in chains:
+                # summed term by term, left to right, as the chain is defined
+                num_sum = np.zeros((vals.shape[0], num_idx.shape[0]))
+                for col in num_idx.T:
+                    num_sum += vals[:, col]
+                den_sum = np.zeros((vals.shape[0], num_idx.shape[0]))
+                for col in den_idx.T:
+                    den_sum += vals[:, col]
+                # Each xi term is at most 1: its numerator sum(n*min(r, r_nn) - l^2)
+                # is at most sum(n*r - l^2), which equals the denominator
+                # sum(l*(n-l)) because sum(r) == sum(l) (both count the ordered
+                # pairs with u_i <= u_j).  The q-1 terms of den_sum thus leave
+                # q - den_sum >= 1, in floats as well.  The form below is
+                # algebraically 1 - (q - num_sum)/(q - den_sum) and collapses to
+                # the single xi value exactly when q == 1.
+                q = num_idx.shape[1]
+                means.append(np.mean((num_sum - den_sum) / (q - den_sum), axis=1))
+            # like max(), np.maximum keeps the first side on a tie; unlike it,
+            # it propagates NaN
+            out.append(functools.reduce(np.maximum, means))
+        return out
 
 
 @functools.lru_cache(maxsize=128)
@@ -327,7 +285,7 @@ def _montage_plan(widths: tuple[int, ...], pairs) -> _MontagePlan:
 
 def _sides(measure: str, q: int, plan_x: PermutationPlan | None = None,
            plan_y: PermutationPlan | None = None) -> tuple:
-    """The `_TermPlan` sides of ``measure``, one of ``t``, ``tbar`` and ``tstar``."""
+    """The `_MontagePlan` sides of ``measure``, one of ``t``, ``tbar`` and ``tstar``."""
     if measure == "t":
         return (("y_on_x", (tuple(range(q)),)),)
     if measure == "tbar":
@@ -336,8 +294,15 @@ def _sides(measure: str, q: int, plan_x: PermutationPlan | None = None,
 
 
 def _statistic(pair: FeatureMatrixPair, sides, seed: int) -> float:
-    plan = _term_plan(pair.p, pair.q, sides)
-    return float(plan.estimates(plan.term_values(pair, seed)[None])[0])
+    """The statistic of one pair at one frequency: the one-pair montage plan.
+
+    Raises `rank_core.DegenerateRanksError` when a response column is constant.
+    """
+    plan = _montage_plan((pair.p, pair.q), ((0, 1, sides),))
+    vals = plan.term_values(np.hstack([pair.x, pair.y])[None], lambda f, i: seed)
+    if np.isnan(vals).any():
+        raise rank_core.DegenerateRanksError("all response values are tied")
+    return float(plan.estimates(vals)[0][0])
 
 
 def t_n(pair: FeatureMatrixPair, seed: int = 0) -> float:

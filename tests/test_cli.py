@@ -897,14 +897,17 @@ class TestFanOut:
                 assert (tmp_path / "1" / name).read_bytes() == \
                     (tmp_path / "2" / name).read_bytes(), name
 
-    def test_simulate_builds_one_pool_for_every_cell(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """An in-process stand-in for every module's process pool; it starts no
+        process and records the size of each pool asked for in ``sizes``."""
         from nvcoh import simulation
 
-        built = []
+        class Recording:
+            sizes = []
 
-        class Counting:
             def __init__(self, max_workers=None):
-                built.append(max_workers)
+                self.sizes.append(max_workers)
 
             def map(self, fn, *iterables, chunksize=1):
                 return list(map(fn, *iterables))
@@ -915,13 +918,37 @@ class TestFanOut:
             def __exit__(self, *exc):
                 return False
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", Counting)
+        for module in (cli, simulation):
+            monkeypatch.setattr(module, "ProcessPoolExecutor", Recording)
+        return Recording
+
+    def test_simulate_builds_one_pool_for_every_cell(self, tmp_path, pool):
         assert main(["simulate", "--cases", "3", "4", "--n-secs", "10", "12",
                      "--reps", "10", "--null-reps", "20", "--threads", "2",
                      "--out-dir", str(tmp_path / "out")]) == EXIT_OK
-        assert built == [2]
+        assert pool.sizes == [2]
         rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
         assert len(rows) == 1 + 4 * 49
+
+    # simulate makes one task per replicate; analyze one per frequency, and
+    # blocks of 8 samples retain three
+    @pytest.mark.parametrize("command, tasks", [("simulate", 10), ("analyze", 3)])
+    def test_pool_holds_no_more_processes_than_tasks(self, command, tasks,
+                                                     two_region_recording, tmp_path, pool):
+        rec, reg = two_region_recording
+        argv = {"simulate": ["simulate", "--cases", "3", "--n-secs", "10", "--reps", "10"],
+                "analyze": ["analyze", "--input", str(rec), "--regions", str(reg),
+                            "--block-len", "8"]}[command]
+        assert main(argv + ["--null-reps", "20", "--threads", "64",
+                            "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert pool.sizes == [tasks]
+
+    def test_fan_out_runs_a_single_task_in_process(self, pool):
+        assert spectral.fan_out(abs, [-3], 64, pool) == [3]
+        assert spectral.fan_out(abs, [], 64, pool) == []
+        assert pool.sizes == []
+        assert spectral.fan_out(abs, [-1, 2, -3], 64, pool) == [1, 2, 3]
+        assert pool.sizes == [3]
 
 
 class TestMontage:

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from nvcoh import rank_core
 from nvcoh.rank_core import (
     DegenerateRanksError,
-    NeighborSearch,
     RankTriple,
     compute_ranks,
     nearest_neighbors,
+    search_all,
     xi_from_ranks,
     xi_n,
     xi_null,
@@ -156,10 +156,9 @@ class TestNeighborSearch:
         # lattice rows, so ties hinge on the summation order of each set; the
         # contract sums C-contiguous rows, which column selection need not give
         z = np.random.default_rng(n).integers(0, 4, size=(n, 11)) * 0.1
-        search = NeighborSearch(z[None])
         for cols in [(0,), (0, 1), (0, 1, 2), (2, 5, 7), (1, 0), tuple(range(7)),
                      tuple(range(8)), (10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0)]:
-            got = search.search_all([cols]).resolve(0, 0, 4)
+            got = search_all(z[None], [cols]).resolve(0, 0, 4)
             want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=4)
             assert np.array_equal(got, want)
 
@@ -191,16 +190,18 @@ class TestNeighborSearch:
         assert np.array_equal(nearest_neighbors(v, seed=seed).n_of, want)
         # the column as a strided selection of a wider matrix
         z = np.column_stack([r.standard_normal(n), v])
-        found = NeighborSearch(z[None]).search_all([(1,)])
+        found = search_all(z[None], [(1,)])
         assert np.array_equal(found.resolve(0, 0, seed), want)
 
     def test_overflowing_squares_in_several_column_sets(self):
-        # each search silences the overflow on its own, one set after another
-        z = np.random.default_rng(5).standard_normal((40, 3)) * 1e200
-        search = NeighborSearch(z[None])
-        for cols in [(0,), (0, 1), (2, 1, 0)]:
-            want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=1)
-            assert np.array_equal(search.search_all([cols]).resolve(0, 0, 1), want)
+        # each search silences the overflow on its own, one set after another;
+        # from _EXHAUSTIVE_MAX_N rows one column takes the sorted scan and the
+        # wider sets the matrix scan, since the tree fails on such squares
+        for n in (40, rank_core._EXHAUSTIVE_MAX_N + 5):
+            z = np.random.default_rng(5).standard_normal((n, 3)) * 1e200
+            for cols in [(0,), (0, 1), (2, 1, 0)]:
+                want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=1)
+                assert np.array_equal(search_all(z[None], [cols]).resolve(0, 0, 1), want)
 
     @pytest.mark.parametrize("n", [60, rank_core._EXHAUSTIVE_MAX_N + 5])
     def test_sweep_matches_brute_force(self, n):
@@ -210,7 +211,7 @@ class TestNeighborSearch:
         sets = sorted([(0,), (0, 1), (0, 1, 2), (0, 1, 3), (0, 2), (1,), (1, 2, 3, 4),
                        (1, 2, 3, 5), (2, 4, 6, 8), tuple(range(7)), tuple(range(8)),
                        tuple(range(9)), (3, 4, 5, 6, 7, 8), (8,)])
-        found = NeighborSearch(z[None]).search_all(sets)
+        found = search_all(z[None], sets)
         for s, cols in enumerate(sets):
             want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=2)
             assert np.array_equal(found.resolve(s, 0, 2), want)
@@ -218,19 +219,21 @@ class TestNeighborSearch:
     def test_rows_whose_every_square_overflows(self):
         # at 1e154 a gap of 2e154 squares past the largest float64: row 0's
         # best squared distance is inf in every set, so the tie check hands
-        # it to the inf-row branch, which draws among all other rows
-        r = np.random.default_rng(6)
-        z = np.round(r.standard_normal((40, 3)), 1) * 1e150 - 1e154
-        z[0] = 1e154
-        z[1] = z[2]
-        sets = [(0,), (0, 1), (0, 1, 2), (0, 2), (1, 2), (2,)]
-        found = NeighborSearch(z[None]).search_all(sets)
-        for s, cols in enumerate(sets):
-            want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=3)
-            assert np.array_equal(found.resolve(s, 0, 3), want)
-            assert 0 in dict(found.tied[s, 0])
-        assert np.array_equal(nearest_neighbors(z, seed=3).n_of,
-                              brute_force_neighbors(z, seed=3))
+        # it to the inf-row branch (the sorted scan's exact re-check from
+        # _EXHAUSTIVE_MAX_N rows on), which draws among all other rows
+        for n in (40, rank_core._EXHAUSTIVE_MAX_N + 5):
+            r = np.random.default_rng(6)
+            z = np.round(r.standard_normal((n, 3)), 1) * 1e150 - 1e154
+            z[0] = 1e154
+            z[1] = z[2]
+            sets = [(0,), (0, 1), (0, 1, 2), (0, 2), (1, 2), (2,)]
+            found = search_all(z[None], sets)
+            for s, cols in enumerate(sets):
+                want = brute_force_neighbors(np.ascontiguousarray(z[:, cols]), seed=3)
+                assert np.array_equal(found.resolve(s, 0, 3), want)
+                assert 0 in dict(found.tied[s, 0])
+            assert np.array_equal(nearest_neighbors(z, seed=3).n_of,
+                                  brute_force_neighbors(z, seed=3))
         # with two rows, the other row is a single candidate, never a tie
         assert nearest_neighbors([[1e154], [-1e154]]).n_of.tolist() == [1, 0]
 

@@ -214,6 +214,10 @@ class TestRunStudy:
         (dict(cases=(1,), n_secs=(10,), block_len=600), "1 complete block"),
         (dict(cases=(4,), n_secs=(10,), fs=10.0), "37.5 Hz"),
         (dict(cases=(3, 1), n_secs=(50,), fs=20.0), "10.0 Hz"),
+        (dict(cases=(3,), n_secs=(10,), measure="bogus"), "unknown measure 'bogus'"),
+        (dict(cases=(3,), n_secs=(10,), block_len=3), "block_len must be at least 4"),
+        (dict(cases=(3,), n_secs=(10,), block_len=0), "block_len must be at least 4"),
+        (dict(cases=(3,), n_secs=(10,), null_reps=0), "null_reps must be at least 1"),
     ])
     def test_impossible_settings_rejected_before_any_replicate(self, kwargs, message,
                                                                monkeypatch):
@@ -222,4 +226,4 @@ class TestRunStudy:
 
         monkeypatch.setattr(sim, "_replicate", never)
         with pytest.raises(ValueError, match=message):
-            run_study(replicates=10, null_reps=10, **kwargs)
+            run_study(replicates=10, **{"null_reps": 10, **kwargs})

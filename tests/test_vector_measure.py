@@ -10,7 +10,7 @@ from nvcoh.rank_core import DegenerateRanksError, _xi_null_batch, derive_seed, x
 from nvcoh.vector_measure import (
     FeatureMatrixPair,
     PermutationPlan,
-    _term_plan,
+    _montage_plan,
     make_plan,
     t_n,
     t_n_bar,
@@ -187,10 +187,10 @@ def test_xi_terms_at_most_one_and_denominators_at_least_one(pair):
     # sum(r) == sum(l) bounds every xi term by 1, so the response-only
     # denominator q - den_sum of every ordering, both ways, is at least 1
     sides = (("y_on_x", make_plan(pair.q).perms), ("x_on_y", make_plan(pair.p).perms))
-    plan = _term_plan(pair.p, pair.q, sides)
-    vals = plan.term_values(pair, seed=5)
+    plan = _montage_plan((pair.p, pair.q), ((0, 1, sides),))
+    vals = plan.term_values(np.hstack([pair.x, pair.y])[None], lambda f, i: 5)[0]
     assert (vals <= 1.0).all()
-    for _, den_idx in plan.chains:
+    for _, den_idx in plan.chains[0]:
         den_sum = np.zeros(den_idx.shape[0])
         for col in den_idx.T:  # in chain order, as the statistic sums them
             den_sum += vals[col]
