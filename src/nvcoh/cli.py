@@ -184,7 +184,12 @@ def _load_recording(args, need: int, why: str) -> tuple[TimeSeriesMatrix, Region
         if tiny:
             raise DegenerateRanksError(f"channel(s) {tiny} cannot be standardized: "
                                        "the standard deviation underflows to 0")
-        data[:, used] = (data[:, used] - mean) / std
+        # in place, one column at a time: the same subtraction and division
+        # per element as ``(data[:, used] - mean) / std``, without its copies
+        for c, m, sd in zip(used, mean, std):
+            column = data[:, c]
+            column -= m
+            column /= sd
         return TimeSeriesMatrix(data=data, fs=ts.fs, labels=ts.labels), config
     with np.errstate(over="ignore"):
         power = np.einsum("ij,ij->j", data, data)[used]
@@ -277,6 +282,8 @@ def cmd_analyze(args) -> int:
     regions = [r for r in config.regions if any(r in pair for pair in config.pairs)]
     tensors = [spectral.block_periodograms(ts.select(config.regions[r]), args.block_len)
                for r in regions]
+    fs = ts.fs
+    del ts  # neither the sweep nor the null reads the recording again
     # plans are keyed by dimension, so every pair with the same q shares one
     plans = [(_default_plan(len(config.regions[a]), args.q_perms, args.seed)
               if args.measure == "tstar" else None,
@@ -284,7 +291,7 @@ def cmd_analyze(args) -> int:
              for a, b in config.pairs]
     profiles = spectral._montage_profiles(
         tensors, [(regions.index(a), regions.index(b)) for a, b in config.pairs],
-        args.block_len, ts.fs, args.measure,
+        args.block_len, fs, args.measure,
         [derive_seed(args.seed, "pair", name) for name in names], plans,
         args.threads, ProcessPoolExecutor)
 

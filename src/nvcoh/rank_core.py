@@ -15,7 +15,8 @@ re-implementation that follows it reproduces this module's output bit for bit.
 `xi_n` and every term of the chained statistic in `vector_measure` run one
 evaluator, `_xi_terms`, on a stack of data matrices, one per frequency: one
 sort ranks the response rows of every matrix, one neighbour sweep searches
-the predictor sets in every matrix, and one reduction gives every ratio.
+the predictor sets in every matrix, and one reduction gives the ratio of
+each distinct (response, set) pair, shared by its terms.
 `xi_n` and `nearest_neighbors` are stacks of one matrix.
 
 Neighbour search runs in two steps.  ``search_all(z, sets)`` needs no seed:
@@ -500,24 +501,31 @@ def nearest_neighbors(v, seed: int = 0) -> NeighborIndex:
     return NeighborIndex(n_of=found.resolve(0, 0, seed))
 
 
-def _xi_ratios(r: np.ndarray, l: np.ndarray, r_nn: np.ndarray) -> np.ndarray:
-    """Row-wise ``sum(n*min(r, r_nn) - l^2) / sum(l*(n-l))`` of ``(m, n)`` ranks.
+def _xi_ratios(r: np.ndarray, l: np.ndarray, r_nn: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+    """``sum(n*min(r, r_nn) - l^2) / sum(l*(n-l))`` of each row of ``r_nn``.
 
-    The denominator depends on the response alone; it is zero if all tie,
-    and the row's ratio is NaN.  Both sums are exact: every term is at most
-    n**2 in magnitude, so below `_INT64_SUM_MAX_N` rows no partial sum
-    passes 2**63 and int64 holds them, and the ratio is numpy's division of
-    the two sums as floats.  From there on `_exact_row_sums` gives Python
-    integers, and their quotient is correctly rounded.
+    ``r`` and ``l`` hold ``(m, n)`` response ranks and ``r_nn``, ``(t, n)``,
+    neighbour ranks whose response is row ``rows[i]`` of them.  The sums of
+    ``l^2`` and of the denominator's terms depend on the response alone and
+    are taken once per response row; the denominator is zero if all tie,
+    and the ratio is NaN.  The numerator is ``n * sum(min(r, r_nn))`` less
+    the response's ``sum(l^2)``.  Every sum is exact: below
+    `_INT64_SUM_MAX_N` rows none passes 2**63 (``n * sum(min)`` is at most
+    n**3), int64 holds them, and the ratio is numpy's division of the two
+    sums as floats.  From there on `_exact_row_sums` gives Python integers,
+    and their quotient is correctly rounded.
     """
     n = r.shape[1]
-    num_terms = n * np.minimum(r, r_nn) - l * l
-    den_terms = l * (n - l)
+    mins = r[rows]
+    np.minimum(mins, r_nn, out=mins)
     if n < _INT64_SUM_MAX_N:
-        num, den = num_terms.sum(axis=1), den_terms.sum(axis=1)
+        num = n * mins.sum(axis=1) - (l * l).sum(axis=1)[rows]
+        den = (l * (n - l)).sum(axis=1)[rows]
         return np.divide(num, den, out=np.full(num.shape, np.nan), where=den != 0)
-    return np.array([a / b if b else np.nan for a, b in
-                     zip(_exact_row_sums(num_terms), _exact_row_sums(den_terms))])
+    sum_l2, den = _exact_row_sums(l * l), _exact_row_sums(l * (n - l))
+    return np.array([(n * a - sum_l2[i]) / den[i] if den[i] else np.nan
+                     for a, i in zip(_exact_row_sums(mins), rows.tolist())])
 
 
 def _exact_row_sums(terms: np.ndarray) -> list[int]:
@@ -539,24 +547,33 @@ def _xi_terms(y: np.ndarray, z: np.ndarray, sets, term_resp: np.ndarray,
     and ``sets`` column tuples of the finite ``(k, n, d)`` stack ``z``,
     sorted so the sweep shares their prefixes; term t's set is
     ``sets[term_set[t]]``.  One sort ranks all ``k * m`` rows, one sweep
-    searches every set in every matrix, and one reduction gives all
-    ``k * terms`` ratios.  Ties of a term's set in matrix f are
-    drawn with ``seed_of(f, t)``, called for that pair alone.  Returns
-    ``(k, terms)``; a term whose response row is constant there is NaN.
+    searches every set in every matrix, and one reduction gives the ratio of
+    each distinct (response, set) in each matrix, which every term of that
+    pair shares.  Where a term's set has exact ties in matrix f, the term
+    draws them with ``seed_of(f, t)``, called for that pair alone, and gets a
+    ratio of its own in the same reduction.  Returns ``(k, terms)``; a term
+    whose response row is constant there is NaN.
     """
     k, m, n = y.shape
     r, l = _row_ranks(y.reshape(k * m, n))
     found = search_all(z, sets)
-    n_of = found.n_of[term_set]  # (terms, k, n)
-    for s, f in found.tied:
-        for t in np.flatnonzero(term_set == s).tolist():
-            n_of[t, f] = found.resolve(s, f, seed_of(f, t))
-    # the row of r holding each (term, matrix) response, and the flat
-    # positions in r of its rows' neighbours
-    rows = (term_resp[:, None] + np.arange(0, k * m, m)).reshape(-1)
-    n_of = n_of.reshape(-1, n)
+    pairs, term_pair = np.unique(term_resp * len(sets) + term_set, return_inverse=True)
+    resp, pair_set = np.divmod(pairs, len(sets))
+    # per (pair, matrix), the row of r holding its response and its neighbours
+    rows = (resp[:, None] + np.arange(0, k * m, m)).reshape(-1)
+    n_of = found.n_of[pair_set].reshape(-1, n)
+    tied = [(f, t) for s, f in found.tied for t in np.flatnonzero(term_set == s).tolist()]
+    if tied:
+        rows = np.concatenate((rows, [f * m + term_resp[t] for f, t in tied]))
+        n_of = np.concatenate((n_of, [found.resolve(term_set[t], f, seed_of(f, t))
+                                      for f, t in tied]))
+    # the flat positions in r of each row's neighbours
     n_of += (rows * n)[:, None]
-    return _xi_ratios(r[rows], l[rows], r.reshape(-1)[n_of]).reshape(-1, k).T
+    vals = _xi_ratios(r, l, r.reshape(-1)[n_of], rows)
+    out = vals[:pairs.size * k].reshape(-1, k)[term_pair].T
+    for (f, t), v in zip(tied, vals[pairs.size * k:]):
+        out[f, t] = v
+    return out
 
 
 def _one_ratio(values: np.ndarray) -> float:
@@ -572,7 +589,8 @@ def xi_from_ranks(triple: RankTriple) -> float:
     The raw statistic is returned unclamped; it can fall slightly below zero
     for small samples, and clamping here would bias the permutation null.
     """
-    return _one_ratio(_xi_ratios(triple.r[None], triple.l[None], triple.r_nn[None]))
+    return _one_ratio(_xi_ratios(triple.r[None], triple.l[None], triple.r_nn[None],
+                                 np.zeros(1, dtype=np.intp)))
 
 
 def xi_n(u, v, seed: int = 0) -> float:
@@ -611,27 +629,18 @@ def _xi_null_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
     The generator's stream is part of every stored ensemble: draws come in
     chunks of ``4_000_000 // n`` rows, and each chunk draws the keys of all its
-    rows before any of their neighbour ranks.  So a chunk runs in two passes
-    over row blocks of about 2**16 entries.  The first ranks each block's keys
-    into one ``(chunk, n)`` array of the smallest unsigned type that holds
-    ``n``; the second draws the block's neighbour ranks and finishes its draws.
-    Split across blocks, ``random`` and ``integers`` yield the values of one
-    call (the bit generator keeps the spare half of a 64-bit word that
-    ``integers`` below 2**32 leaves), so no float or int64 array larger than a
-    block is ever built.  The first pass reuses one block's key buffers for
-    all of a chunk's blocks and frees them before the second.
+    rows before any of their neighbour ranks.  The draws themselves run one
+    row block of about 2**16 entries at a time, so no array but the output is
+    larger than a block.  A copy of the bit generator draws the chunk's keys,
+    block by block, while ``rng`` skips them with ``advance`` and draws each
+    block's neighbour ranks right after that block's keys are ranked.  Split
+    across blocks, ``random`` and ``integers`` yield the values of one call:
+    the bit generator keeps the spare half of a 64-bit word that ``integers``
+    below 2**32 leaves.  ``advance`` clears that half, so it is restored from
+    the state before the skip, and ``rng`` ends in the state a whole-chunk
+    draw leaves.  ``rng`` must be a `default_rng` (PCG64) generator.
 
-    Up to 2048 columns, where a key's 53 significant bits and a column index
-    of ``b = (n - 1).bit_length()`` bits fit one uint64, a block is ranked by
-    one in-place sort of the packed values ``(key * 2**53) << b | column``.
-    Every key `Generator.random` returns is a multiple of 2**-53, so
-    ``key * 2**(53 + b)`` is an exact integer below 2**64 and converts to
-    uint64 exactly.  After the sort, each value's low ``b`` bits are its
-    row's order.  Exact key ties, with a chance of about ``n**2 * 2**-54``
-    per row, break by column.  Past 2048 columns ``argsort`` gives the
-    order.  Either order, offset by its row's flat position, scatters the
-    ranks ``1..n`` into ``r0``.
-
+    `_key_ranker` ranks each block's keys into buffers reused by every block.
     As in `_xi_ratios`, ``n * sum(min(r0, r0_nn))`` and ``sum(l0**2)`` stay
     in int64 below `_INT64_SUM_MAX_N` rows, and the ratio is numpy's; from
     there on they pass 2**63 (from about 2.64 and 3.02 million rows), so the
@@ -645,41 +654,65 @@ def _xi_null_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     den = n * n * (n + 1) // 2 - sum_l2
     chunk = max(1, 4_000_000 // n)
     block = max(1, 2**16 // n)
-    r0 = np.empty((min(chunk, count), n), dtype=np.min_scalar_type(n))
+    rank_keys = _key_ranker(n, min(block, count))
+    bitgen = rng.bit_generator
+    key_rng = np.random.Generator(np.random.PCG64(0))
     for done in range(0, count, chunk):
         m = min(chunk, count - done)
-        blocks = [(a, min(a + block, m)) for a in range(0, m, block)]
-        _rank_keys(rng, r0, blocks)
-        for a, b in blocks:
+        # the copy draws the chunk's m * n keys, one 64-bit word each, and
+        # rng skips them but keeps its spare 32-bit half
+        before = bitgen.state
+        key_rng.bit_generator.state = before
+        bitgen.advance(m * n)
+        after = bitgen.state
+        after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+        bitgen.state = after
+        for a in range(done, done + m, block):
+            b = min(a + block, done + m)
+            r0 = rank_keys(key_rng, b - a)
             r0_nn = rng.integers(1, n + 1, size=(b - a, n), dtype=np.int64)
-            mins = np.minimum(r0[a:b], r0_nn, out=r0_nn)
+            mins = np.minimum(r0, r0_nn, out=r0_nn)
             if n < _INT64_SUM_MAX_N:
-                out[done + a:done + b] = (n * mins.sum(axis=1) - sum_l2) / den
+                out[a:b] = (n * mins.sum(axis=1) - sum_l2) / den
             else:
-                out[done + a:done + b] = [(n * s - sum_l2) / den
-                                          for s in _exact_row_sums(mins)]
+                out[a:b] = [(n * s - sum_l2) / den for s in _exact_row_sums(mins)]
     return out
 
 
-def _rank_keys(rng: np.random.Generator, r0: np.ndarray, blocks) -> None:
-    """The first pass of `_xi_null_batch`: fresh keys' ranks into each block ``a:b`` of ``r0``."""
-    n = r0.shape[1]
-    # a key's 53 bits and its column's fit one uint64 up to 2048 columns
+def _key_ranker(n: int, rows: int):
+    """A function that draws ``m <= rows`` rows of n keys and returns their ranks.
+
+    ``rank(rng, m)`` draws ``rng.random((m, n))`` and returns, per row, the
+    rank of each key among its row, ``1..n``, in the smallest unsigned type
+    that holds n.  The keys, their packed form and the ranks live in buffers
+    of ``rows`` rows, reused by every call.
+
+    Up to 2048 columns, where a key's 53 significant bits and a column index
+    of ``b = (n - 1).bit_length()`` bits fit one uint64, a block is ranked by
+    one in-place sort of the packed values ``(key * 2**53) << b | column``.
+    Every key `Generator.random` returns is a multiple of 2**-53, so
+    ``key * 2**(53 + b)`` is an exact integer below 2**64 and converts to
+    uint64 exactly.  After the sort, each value's low ``b`` bits are its
+    row's order.  Exact key ties, with a chance of about ``n**2 * 2**-54``
+    per row, break by column.  Past 2048 columns ``argsort`` gives the
+    order.  Either order, offset by its row's flat position, scatters the
+    ranks ``1..n`` into the rank buffer.
+    """
     bits = (n - 1).bit_length()
     packs = 53 + bits <= 64
     cols = np.arange(n, dtype=np.uint64)
     mask = np.uint64((1 << bits) - 1)
-    # one block's keys and packed keys, reused by every block
-    rows = max(b - a for a, b in blocks)
     keys = np.empty((rows, n))
     packed = np.empty((rows, n), dtype=np.uint64)
+    r0 = np.empty((rows, n), dtype=np.min_scalar_type(n))
     starts = np.arange(0, rows * n, n)[:, None]
     ranks = np.tile(np.arange(1, n + 1, dtype=r0.dtype), rows)
-    for a, b in blocks:
-        key = rng.random(out=keys[:b - a])
+
+    def rank(rng: np.random.Generator, m: int) -> np.ndarray:
+        key = rng.random(out=keys[:m])
         if packs:
             key *= 2.0**(53 + bits)
-            order = packed[:b - a]
+            order = packed[:m]
             np.copyto(order, key, casting="unsafe")
             order |= cols
             order.sort(axis=1)
@@ -688,5 +721,8 @@ def _rank_keys(rng: np.random.Generator, r0: np.ndarray, blocks) -> None:
         else:
             order = key.argsort(axis=1)
         # the ranks of the keys, r0[i, order[i, k - 1]] = k, through flat positions
-        order += starts[:b - a]
-        r0[a:b].reshape(-1)[order.reshape(-1)] = ranks[:order.size]
+        order += starts[:m]
+        r0[:m].reshape(-1)[order.reshape(-1)] = ranks[:order.size]
+        return r0[:m]
+
+    return rank

@@ -145,13 +145,14 @@ class SimulationReport:
 
 
 def check_study(cases, n_secs, block_len: int, fs: float, measure: str,
-                null_reps: int) -> None:
+                null_reps: int, modulus: float, alpha: float) -> None:
     """Reject settings under which every replicate would fail, before any runs.
 
     The measure must be one of `spectral.MEASURES`, blocks at least 4
-    samples long and the null at least one replicate.  Each case's latent
-    peaks must lie below fs/2, and each recording must hold at least 10
-    seconds and two complete blocks.
+    samples long, the null at least one replicate, and the root modulus and
+    the test level inside (0, 1).  Each case's latent peaks must lie below
+    fs/2, and each recording must hold at least 10 seconds and two complete
+    blocks.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
@@ -159,6 +160,10 @@ def check_study(cases, n_secs, block_len: int, fs: float, measure: str,
         raise ValueError("block_len must be at least 4")
     if null_reps < 1:
         raise ValueError("null_reps must be at least 1")
+    if not 0 < modulus < 1:
+        raise ValueError("modulus must lie in (0, 1)")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
     for case_id in cases:
         case = CASES[case_id]
         top = max(BAND_PEAK_HZ[band] for channel in case.x_wiring + case.y_wiring
@@ -211,7 +216,7 @@ def run_study(cases=(1, 2, 3, 4, 5), n_secs=(50, 100, 200), replicates: int = 20
     """
     if replicates < 10:
         raise ValueError("need at least 10 replicates")
-    check_study(cases, n_secs, block_len, fs, measure, null_reps)
+    check_study(cases, n_secs, block_len, fs, measure, null_reps, modulus, alpha)
     freqs_hz = retained_indices(block_len) * fs / block_len
     cells = [(case_id, n_sec) for case_id in cases for n_sec in n_secs]
     tasks = [(case_id, n_sec, fs, block_len, measure, modulus,

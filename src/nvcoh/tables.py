@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +33,16 @@ def read_numeric_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     `csv.reader` reads the header.  The data rows take one of two paths
     with one result.  The fast path hands chunks of about `_CHUNK_CHARS`
     characters to numpy's C parser, `np.loadtxt`, whose numbers have the
-    bits `float` gives.  Any chunk it cannot take as it stands sends the
-    whole file to the per-row path, `csv.reader` and `float` cell by cell:
-    a cell loadtxt refuses (``1_000``, Unicode digits, an empty or ``#``
-    cell), a row count other than the chunk's line count (loadtxt skips
-    blank lines), a ``"`` (quoting), an ASCII separator ``\\x1c``-``\\x1f``
-    (loadtxt strips them as whitespace, `float` refuses them), a line
-    longer than the field limit, or a non-finite value.  So the accepted
-    files, their values and every message are those of the per-row path.
+    bits `float` gives, and copies each into one array sized from the
+    file's bytes per line, so the data are held once.  Any chunk it cannot
+    take as it stands sends the whole file to the per-row path,
+    `csv.reader` and `float` cell by cell: a cell loadtxt refuses
+    (``1_000``, Unicode digits, an empty or ``#`` cell), a row count other
+    than the chunk's line count (loadtxt skips blank lines), a ``"``
+    (quoting), an ASCII separator ``\\x1c``-``\\x1f`` (loadtxt strips
+    them as whitespace, `float` refuses them), a line longer than the field
+    limit, or a non-finite value.  So the accepted files, their values and
+    every message are those of the per-row path.
     """
     path = Path(path)
     if not path.exists():
@@ -82,8 +85,13 @@ def _read_rows(path: Path, parse_rows):
 
 
 def _parse_chunks(fh, path: Path, labels) -> np.ndarray | None:
-    """The data rows parsed by `np.loadtxt`, or None where the per-row path must decide."""
-    chunks = []
+    """The data rows parsed by `np.loadtxt`, or None where the per-row path must decide.
+
+    Chunks are copied into one array, sized from the file's bytes and the
+    first chunk's characters per line and grown when it falls short; rows
+    past the last one read are never written, so they take no memory.
+    """
+    data, used = np.empty((0, len(labels))), 0
     try:
         while lines := fh.readlines(_CHUNK_CHARS):
             text = "".join(lines)
@@ -95,10 +103,25 @@ def _parse_chunks(fh, path: Path, labels) -> np.ndarray | None:
             rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
             if rows.shape != (len(lines), len(labels)) or not np.isfinite(rows).all():
                 return None
-            chunks.append(rows)
+            if used + len(rows) > len(data):
+                grown = np.empty((max(used + len(rows), 2 * len(data),
+                                      _file_bytes(fh) * len(lines) // len(text)),
+                                  len(labels)))
+                grown[:used] = data[:used]
+                data = grown
+            data[used:used + len(rows)] = rows
+            used += len(rows)
     except ValueError:  # a cell loadtxt refuses, or bytes that are not UTF-8
         return None
-    return np.concatenate(chunks) if chunks else np.empty((0, len(labels)))
+    return data[:used]
+
+
+def _file_bytes(fh) -> int:
+    """The size of the file behind ``fh``; 0 for a stream that has none."""
+    try:
+        return os.fstat(fh.fileno()).st_size
+    except (OSError, ValueError):  # io.StringIO has no file descriptor
+        return 0
 
 
 def _parse_each_row(fh, path: Path, labels) -> np.ndarray:

@@ -22,8 +22,9 @@ call of `rank_core._xi_terms`, the evaluator that `rank_core.xi_n` runs as one t
 at one frequency: one neighbour sweep over the distinct sets in
 lexicographic order (shared by all pairs, both directions of `t_n_star` and
 the stack's frequencies), one stable sort ranking every response channel at
-every frequency, one integer reduction for every term's xi ratio.  The
-chains follow per pair, as vector sums across orderings and frequencies.
+every frequency, one integer reduction for each distinct (response, set)
+pair's xi ratio, which the terms of that pair share.  The chains follow per
+pair, as vector sums across orderings and frequencies.
 Exact ties are resolved per term with that term's seed, derived only when
 the search found a tie, so every term equals
 ``xi_n(response, predictors, seed=term_seed(...))``.  `nvc analyze` runs the

@@ -249,7 +249,9 @@ def test_stacked_terms_equal_one_matrix_calls(seed, n, k, d, large):
     # calls: the lattice frequencies have exact ties, drawn with each
     # frequency's own term seeds; frequency 0 has a constant response row; the
     # last frequency's entries reach the magnitude from which squares may
-    # overflow (times ``large``), so its sweep silences the overflow
+    # overflow (times ``large``), so its sweep silences the overflow.  Terms 0
+    # and 1 share a response and a set but not a seed: the evaluator reduces
+    # each (response, set) once, yet each term draws its own ties
     r = np.random.default_rng(seed)
     lattice = r.random(k) < 0.5
     z = np.where(lattice[:, None, None], r.integers(0, 3, size=(k, n, d)) * 0.1,
@@ -264,6 +266,7 @@ def test_stacked_terms_equal_one_matrix_calls(seed, n, k, d, large):
                    for _ in range(6)} | {tuple(range(d))})
     term_set = r.integers(0, len(sets), size=8)
     term_resp = r.integers(0, 3, size=8)
+    term_set[1], term_resp[1] = term_set[0], term_resp[0]
     seeds = r.integers(0, 2**63, size=(k, 8)).tolist()
     got = rank_core._xi_terms(y, z, sets, term_resp, term_set,
                               lambda f, t: seeds[f][t])
@@ -273,6 +276,16 @@ def test_stacked_terms_equal_one_matrix_calls(seed, n, k, d, large):
                                    lambda _, t: seeds[f][t])
         assert got[f].tobytes() == want[0].tobytes()
     assert np.isnan(got[0, term_resp == 1]).all()
+    # every term on a lattice frequency is the stand-alone xi of its response
+    # on its set, ties drawn with its own seed
+    for f in np.flatnonzero(lattice).tolist():
+        for t in range(8):
+            u, v = y[f, term_resp[t]], z[f][:, list(sets[term_set[t]])]
+            if np.isnan(got[f, t]):
+                with pytest.raises(DegenerateRanksError):
+                    xi_n(u, v, seed=seeds[f][t])
+            else:
+                assert got[f, t] == xi_n(u, v, seed=seeds[f][t])
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,9 +453,11 @@ class TestXiNull:
     @pytest.mark.parametrize("n, count", [(2, 50), (40, 300), (595, 6800)])
     def test_batch_equals_the_definition(self, n, count):
         # 6800 draws at n = 595 span two chunks of the generator stream
-        want = xi_null_reference(n, count, np.random.default_rng(n))
-        got = rank_core._xi_null_batch(n, count, np.random.default_rng(n))
+        ref, rng = np.random.default_rng(n), np.random.default_rng(n)
+        want = xi_null_reference(n, count, ref)
+        got = rank_core._xi_null_batch(n, count, rng)
         assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_takes_no_data(self):
         # signature admits only the sample size and seed
@@ -477,12 +492,23 @@ class TestXiNull:
         (3, 3000),
         (2048, 70),  # the most columns whose packed keys fit 64 bits
         (2049, 70),  # the fewest that take argsort
+        (1331, 3100),  # a chunk of 3005 rows that ends on a spare 32-bit half
     ])
     def test_streamed_batch_equals_the_definition(self, n, count):
-        # chunks hold 4_000_000 // n rows and row blocks 2**16 // n (at least 1)
-        want = xi_null_reference(n, count, np.random.default_rng(n))
-        got = rank_core._xi_null_batch(n, count, np.random.default_rng(n))
+        # chunks hold 4_000_000 // n rows and row blocks 2**16 // n (at least 1);
+        # the draw skips each chunk's keys with `advance`, which clears the
+        # spare half of a 64-bit word that `integers` keeps, so the stream
+        # after a chunk ending on such a half must still match
+        seed = {1331: 0}.get(n, n)
+        if n == 1331:
+            first = np.random.default_rng(seed)
+            xi_null_reference(n, 4_000_000 // n, first)
+            assert first.bit_generator.state["has_uint32"] == 1
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = xi_null_reference(n, count, ref)
+        got = rank_core._xi_null_batch(n, count, rng)
         assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_draw_past_int64_sums_is_exact(self):
         # from about 2.64 million rows n * sum(min(r0, r0_nn)) passes 2**63,
@@ -512,7 +538,8 @@ class TestXiNull:
 
     @pytest.mark.parametrize("n", [115, 595])
     def test_batch_memory_stays_below_a_chunk(self, n):
-        # one chunk of float keys alone takes 32 MiB
+        # one chunk of float keys alone takes 32 MiB; the draw holds its
+        # output and a few row blocks of 2**16 entries
         import tracemalloc
 
         tracemalloc.start()
@@ -522,6 +549,7 @@ class TestXiNull:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+        assert peak < 100_000 * 8 + 6 * 2**16 * 8
 
 
 @settings(max_examples=30, deadline=None)

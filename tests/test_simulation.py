@@ -218,6 +218,8 @@ class TestRunStudy:
         (dict(cases=(3,), n_secs=(10,), block_len=3), "block_len must be at least 4"),
         (dict(cases=(3,), n_secs=(10,), block_len=0), "block_len must be at least 4"),
         (dict(cases=(3,), n_secs=(10,), null_reps=0), "null_reps must be at least 1"),
+        (dict(cases=(3,), n_secs=(10,), modulus=1.5), r"modulus must lie in \(0, 1\)"),
+        (dict(cases=(3,), n_secs=(10,), alpha=5.0), r"alpha must lie in \(0, 1\)"),
     ])
     def test_impossible_settings_rejected_before_any_replicate(self, kwargs, message,
                                                                monkeypatch):
