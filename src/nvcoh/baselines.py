@@ -21,14 +21,20 @@ the other pairs keep the screen.  δ's FFT term rests on an assumed error
 constant (see `_screen_pairs`); while δ bounds the screen's error, the
 result equals the all-lag evaluation bit for bit.  `pbc` is the one-pair case;
 `pbc_matrix` and `region_pbc` screen a region pair's channels together.
-`sosfiltfilt` filters each column on its own, so `pbc_table` filters all
-region channels once per band, in one call, and screens every channel pair
-of every region pair of the band in one `_band_pbc`; the values equal
-filtering region by region for every pair.  `scipy.signal` and `scipy.fft`
-load with this module, which the command line imports only for
-`nvc baseline`.
+`sosfiltfilt` filters each column on its own, so `pbc_table` filters the
+region channels of a band in groups of `_group_width` columns into one
+column-major array and screens every channel pair of every region pair of
+the band in one `_band_pbc`, whose screen centres and transforms the same
+groups; the values equal filtering region by region for every pair, and no
+copy of all the channels exists beside that array.  `_corr_at_lag` sums
+each dot product in pieces of at most 10,000 elements (`_dot`), so its value
+does not depend on how many threads the BLAS library runs.  `scipy.signal`
+and `scipy.fft` load with this module, which the command line imports only
+for `nvc baseline`.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy import fft as sfft
@@ -66,14 +72,47 @@ def bandpass(ts: TimeSeriesMatrix, band: FrequencyBand) -> np.ndarray:
     if not (0 < band.lo_hz < band.hi_hz < nyq):
         raise ValueError(
             f"band ({band.lo_hz}, {band.hi_hz}] must lie strictly inside (0, {nyq})")
-    sos = signal.butter(DEFAULT_FILTER_ORDER, [band.lo_hz, band.hi_hz], btype="bandpass",
-                        fs=ts.fs, output="sos")
-    return signal.sosfiltfilt(sos, ts.data, axis=0)
+    return signal.sosfiltfilt(_design(band.lo_hz, band.hi_hz, ts.fs).copy(), ts.data, axis=0)
+
+
+@functools.lru_cache
+def _design(lo_hz: float, hi_hz: float, fs: float) -> np.ndarray:
+    """The band-pass's second-order sections, designed once per band and rate.
+
+    The cache shares one array; `bandpass` hands `sosfiltfilt` a copy.
+    """
+    return signal.butter(DEFAULT_FILTER_ORDER, [lo_hz, hi_hz], btype="bandpass", fs=fs,
+                         output="sos")
+
+
+def _group_width(n: int) -> int:
+    """Channels of n samples filtered or screened at once.
+
+    `sosfiltfilt` holds about three copies of its input (the padded input
+    and its two passes), so a group's working copies stay within
+    `rank_core._WORKSPACE_BYTES`.
+    """
+    return max(1, _WORKSPACE_BYTES // (3 * 8 * n))
 
 
 def min_samples(max_lag: int = DEFAULT_MAX_LAG) -> int:
     """Shortest channel `pbc` accepts: every lag in range, 30 of them overlapping."""
     return max(2 * max_lag + 2, max_lag + 30)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` summed over halves, the first ceil(n/2) long, down to 10,000 elements.
+
+    OpenBLAS's ddot runs one thread up to 10,000 elements and splits longer
+    vectors between its threads, which changes the rounding.  Each piece
+    here runs on one thread, so the value is the same whatever the thread
+    count; from 10,001 to 20,000 elements it equals OpenBLAS's two-thread
+    sum bit for bit.
+    """
+    if a.size <= 10_000:
+        return a @ b
+    h = (a.size + 1) // 2
+    return _dot(a[:h], b[:h]) + _dot(a[h:], b[h:])
 
 
 def _corr_at_lag(x: np.ndarray, y: np.ndarray, lag: int) -> float:
@@ -86,10 +125,10 @@ def _corr_at_lag(x: np.ndarray, y: np.ndarray, lag: int) -> float:
         yw = y[: y.size + lag]
     xc = xw - xw.mean()
     yc = yw - yw.mean()
-    denom = np.sqrt((xc @ xc) * (yc @ yc))
+    denom = np.sqrt(_dot(xc, xc) * _dot(yc, yc))
     if denom == 0:
         return 0.0
-    return float((xc @ yc) / denom)
+    return float(_dot(xc, yc) / denom)
 
 
 def _window_sums(ends: np.ndarray, total: np.ndarray, max_lag: int) -> np.ndarray:
@@ -137,9 +176,11 @@ def _screen_pairs(f: np.ndarray, i: np.ndarray, j: np.ndarray, max_lag: int):
     lags)`` at lags -max_lag..max_lag, and ``kept``, true for the pairs on
     which δ bounds |c - `_corr_at_lag`|.  Each channel's work is done once,
     however many pairs hold it: its centring, one real FFT and its window
-    sums as the leading (i) and as the lagging (j) channel.  Each pair then
-    inverts the product of its two spectra, in batches that keep the
-    transforms within `rank_core._WORKSPACE_BYTES`.
+    sums as the leading (i) and as the lagging (j) channel.  Channels are
+    centred and transformed in groups of `_group_width`, so only one group's
+    centred copy exists at a time.  Each pair then inverts the product of
+    its two spectra, in batches that keep the transforms within
+    `rank_core._WORKSPACE_BYTES`.
 
     Let u = 2**-53, g = 2n u / (1 - 2n u) and L = next_fast_len(n + max_lag).
     For the pair of x (leading) and y (lagging), the screen works on
@@ -189,18 +230,28 @@ def _screen_pairs(f: np.ndarray, i: np.ndarray, j: np.ndarray, max_lag: int):
     g = 2 * n * u / (1 - 2 * n * u)
     size = sfft.next_fast_len(n + max_lag, real=True)
     m = n - np.abs(np.arange(-max_lag, max_lag + 1))
+    channels = f.shape[1]
+    q = np.empty(channels)
+    total = np.empty(channels)
+    ends = np.empty((channels, 2 * max_lag))
+    spectra = np.empty((channels, size // 2 + 1), dtype=np.complex128)
     # channels outside the bound's range may overflow here; their pairs are not kept
     with np.errstate(all="ignore"):
         mx = np.maximum(f.max(axis=0), -f.min(axis=0))
-        x0 = np.array(f.T, order="C")  # a copy, one row per channel
-        x0 -= x0.mean(axis=1, keepdims=True)
-        q = np.einsum("ij,ij->i", x0, x0)
+        # one group of channels at a time: a copy, one row per channel
+        width = _group_width(n)
+        for a in range(0, channels, width):
+            b = slice(a, a + width)
+            x0 = np.array(f[:, b].T, order="C")
+            x0 -= x0.mean(axis=1, keepdims=True)
+            q[b] = np.einsum("ij,ij->i", x0, x0)
+            total[b] = x0.sum(axis=1)
+            spectra[b] = sfft.rfft(x0, size, axis=-1)
+            ends[b] = np.concatenate((x0[:, :max_lag], x0[:, n - max_lag:]), axis=1)
+            del x0
         norm = np.sqrt(q)
-        spectra = sfft.rfft(x0, size, axis=-1)
-        ends = np.concatenate((x0[:, :max_lag], x0[:, n - max_lag:]), axis=1)
-        s = _window_sums(ends, x0.sum(axis=1), max_lag)
+        s = _window_sums(ends, total, max_lag)
         ss = _window_sums(ends * ends, q, max_lag)
-        del x0
         # per role (leading, lagging), channel and lag
         d = 8 * g * q[:, None]
         v = ss - s * s / m
@@ -296,20 +347,24 @@ def pbc_table(ts: TimeSeriesMatrix, regions, pairs, bands,
     """`region_pbc` of every region pair (rows) in every band (columns).
 
     ``regions`` maps region names to channel labels of ``ts``.  Each band
-    filters every region channel in one call, not once per pair holding it,
-    screens every channel pair of every region pair in one `_band_pbc`, and
-    is released before the next band is filtered.
+    filters every region channel once, not once per pair holding it, in
+    groups of `_group_width` channels written into one column-major array
+    that every band reuses, and screens every channel pair of every region
+    pair in one `_band_pbc`.
     """
     channels = sorted({ch for pair in pairs for name in pair for ch in regions[name]})
     col = {ch: i for i, ch in enumerate(channels)}
     cols = [(col[x], col[y]) for a, b in pairs for x in regions[a] for y in regions[b]]
     splits = np.cumsum([len(regions[a]) * len(regions[b]) for a, b in pairs])[:-1]
+    width = _group_width(ts.n_samples)
+    # column-major, as sosfiltfilt returns it: each channel's samples are
+    # contiguous for the screen and the lagged correlations
+    f = np.empty((len(channels), ts.n_samples)).T
     out = np.empty((len(pairs), len(bands)))
     for k, band in enumerate(bands):
-        # the filtered band lives only for the call: two at once raise the
-        # peak resident set
-        vals = _band_pbc(bandpass(ts.select(channels), band), cols, max_lag, channels,
-                         f" after the {band.name} band-pass")
+        for a in range(0, len(channels), width):
+            f[:, a:a + width] = bandpass(ts.select(channels[a:a + width]), band)
+        vals = _band_pbc(f, cols, max_lag, channels, f" after the {band.name} band-pass")
         out[:, k] = [v.mean() for v in np.split(vals, splits)]
     return out
 

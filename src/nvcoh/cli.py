@@ -1,4 +1,4 @@
-"""Batch command line: ingest, analyze, baseline, compare, simulate, null-dist.
+"""Batch command line: analyze, baseline, compare, simulate, null-dist.
 
 Every command writes a manifest recording every flag of the command and the
 seed, which fully determine its outputs: the file flags under "inputs", the
@@ -36,7 +36,12 @@ from .inference import (
     null_ensemble,
     p_values,
 )
-from .rank_core import DegenerateRanksError, _square_safe_magnitude, derive_seed
+from .rank_core import (
+    _WORKSPACE_BYTES,
+    DegenerateRanksError,
+    _square_safe_magnitude,
+    derive_seed,
+)
 from . import spectral
 from .spectral import (  # noqa: F401  (bench/layers.py wraps nvc_profile here)
     CANONICAL_BANDS,
@@ -171,11 +176,13 @@ def _load_recording(args, need: int, why: str) -> tuple[TimeSeriesMatrix, Region
     used = [ts.labels.index(ch) for chans in config.regions.values() for ch in chans]
     labels = [ts.labels[i] for i in used]
     if args.standardize:
-        _reject_constant(data[:, used], labels, "cannot be standardized")
+        _reject_constant(data, used, labels, "cannot be standardized")
         # moments over the whole matrix: numpy lays ``data[:, used]`` out
         # column-major and would sum its columns in another order
         with np.errstate(over="ignore", invalid="ignore"):
-            mean, std = data.mean(axis=0)[used], data.std(axis=0)[used]
+            mean = data.mean(axis=0)
+            std = _column_std(data, mean)[used]
+            mean = mean[used]
         _reject_overflow(std, labels, "channel",
                          "the standard deviation would overflow float64")
         # not constant, yet every squared deviation underflows (a channel of
@@ -215,10 +222,39 @@ def _load_recording(args, need: int, why: str) -> tuple[TimeSeriesMatrix, Region
     return TimeSeriesMatrix(data=data, fs=ts.fs, labels=ts.labels), config
 
 
-def _reject_constant(data: np.ndarray, labels, why: str) -> None:
-    """Raise a degeneracy error naming every column whose samples are all equal."""
+def _column_std(data: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``data.std(axis=0)`` bit for bit, given ``mean = data.mean(axis=0)``.
+
+    numpy squares the deviations of the whole matrix at once.  Here they are
+    squared in row blocks within `rank_core._WORKSPACE_BYTES`, each block
+    stacked under the running sums: for two or more columns numpy adds a
+    C-ordered matrix's rows one after another, so the sums take numpy's
+    order.  One column is summed pairwise, so it keeps ``data.std(axis=0)``.
+    """
+    n, width = data.shape
+    if width < 2:
+        return data.std(axis=0)
+    rows = max(1, _WORKSPACE_BYTES // (8 * width))
+    sums = np.zeros(width)
+    for a in range(0, n, rows):
+        block = data[a:a + rows]
+        buf = np.empty((block.shape[0] + 1, width))
+        buf[0] = sums
+        np.subtract(block, mean, out=buf[1:])
+        np.square(buf[1:], out=buf[1:])
+        sums = np.add.reduce(buf, axis=0)
+    return np.sqrt(sums / n)
+
+
+def _reject_constant(data: np.ndarray, columns, labels, why: str) -> None:
+    """Raise a degeneracy error naming every ``columns`` entry whose samples are all equal.
+
+    ``labels`` names the entries of ``columns``; the spread is taken over
+    ``data`` in place, without a copy of the columns.
+    """
     with np.errstate(over="ignore"):  # max - min may overflow; it is not 0 then
-        flat = [labels[i] for i in np.flatnonzero(np.ptp(data, axis=0) == 0)]
+        spread = np.ptp(data, axis=0)[columns]
+        flat = [labels[i] for i in np.flatnonzero(spread == 0)]
     if flat:
         raise DegenerateRanksError(f"constant channel(s) {flat} {why}")
 
@@ -358,7 +394,7 @@ def cmd_baseline(args) -> int:
         args, max(min_samples(args.max_lag), 2 * args.block_len),
         f"max lag {args.max_lag}, two blocks of {args.block_len}")
     channels = [ch for name in sorted(config.regions) for ch in config.regions[name]]
-    _reject_constant(ts.select(channels).data, channels,
+    _reject_constant(ts.data, [ts.labels.index(ch) for ch in channels], channels,
                      "have no band power to compare")
     bands = _parse_bands(args.bands,
                          retained_indices(args.block_len) * ts.fs / args.block_len)

@@ -682,44 +682,42 @@ def _xi_null_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 def _key_ranker(n: int, rows: int):
     """A function that draws ``m <= rows`` rows of n keys and returns their ranks.
 
-    ``rank(rng, m)`` draws ``rng.random((m, n))`` and returns, per row, the
-    rank of each key among its row, ``1..n``, in the smallest unsigned type
-    that holds n.  The keys, their packed form and the ranks live in buffers
-    of ``rows`` rows, reused by every call.
+    ``rank(rng, m)`` draws the keys of ``rng.random((m, n))`` and returns,
+    per row, the rank of each key among its row, ``1..n``, in the smallest
+    unsigned type that holds n.  The ranks live in a buffer of ``rows``
+    rows, reused by every call.
 
     Up to 2048 columns, where a key's 53 significant bits and a column index
     of ``b = (n - 1).bit_length()`` bits fit one uint64, a block is ranked by
-    one in-place sort of the packed values ``(key * 2**53) << b | column``.
-    Every key `Generator.random` returns is a multiple of 2**-53, so
-    ``key * 2**(53 + b)`` is an exact integer below 2**64 and converts to
-    uint64 exactly.  After the sort, each value's low ``b`` bits are its
-    row's order.  Exact key ties, with a chance of about ``n**2 * 2**-54``
-    per row, break by column.  Past 2048 columns ``argsort`` gives the
-    order.  Either order, offset by its row's flat position, scatters the
-    ranks ``1..n`` into the rank buffer.
+    one in-place sort of the packed values ``(word >> 11) << b | column``,
+    drawn as raw 64-bit words of the bit generator: `Generator.random`
+    returns ``(word >> 11) * 2**-53`` from one word per key, so these are
+    its keys' bits, in its order, with no float keys in between.  After the
+    sort, each value's low ``b`` bits are its row's order.  Exact key ties,
+    with a chance of about ``n**2 * 2**-54`` per row, break by column.  Past
+    2048 columns ``argsort`` of the float keys gives the order.  Either
+    order, offset by its row's flat position, scatters the ranks ``1..n``
+    into the rank buffer.
     """
     bits = (n - 1).bit_length()
     packs = 53 + bits <= 64
     cols = np.arange(n, dtype=np.uint64)
     mask = np.uint64((1 << bits) - 1)
-    keys = np.empty((rows, n))
-    packed = np.empty((rows, n), dtype=np.uint64)
     r0 = np.empty((rows, n), dtype=np.min_scalar_type(n))
     starts = np.arange(0, rows * n, n)[:, None]
     ranks = np.tile(np.arange(1, n + 1, dtype=r0.dtype), rows)
 
     def rank(rng: np.random.Generator, m: int) -> np.ndarray:
-        key = rng.random(out=keys[:m])
         if packs:
-            key *= 2.0**(53 + bits)
-            order = packed[:m]
-            np.copyto(order, key, casting="unsafe")
+            order = rng.bit_generator.random_raw((m, n))
+            order >>= np.uint64(11)
+            order <<= np.uint64(bits)
             order |= cols
             order.sort(axis=1)
             order &= mask
             order = order.view(np.int64)
         else:
-            order = key.argsort(axis=1)
+            order = rng.random((m, n)).argsort(axis=1)
         # the ranks of the keys, r0[i, order[i, k - 1]] = k, through flat positions
         order += starts[:m]
         r0[:m].reshape(-1)[order.reshape(-1)] = ranks[:order.size]

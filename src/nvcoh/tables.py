@@ -88,10 +88,11 @@ def _parse_chunks(fh, path: Path, labels) -> np.ndarray | None:
     """The data rows parsed by `np.loadtxt`, or None where the per-row path must decide.
 
     Chunks are copied into one array, sized from the file's bytes and the
-    first chunk's characters per line and grown when it falls short; rows
-    past the last one read are never written, so they take no memory.
+    characters per line read so far, plus one chunk's lines of slack, and
+    grown when it falls short; rows past the last one read are never
+    written, so they take no memory.
     """
-    data, used = np.empty((0, len(labels))), 0
+    data, used, chars = np.empty((0, len(labels))), 0, 0
     try:
         while lines := fh.readlines(_CHUNK_CHARS):
             text = "".join(lines)
@@ -103,9 +104,10 @@ def _parse_chunks(fh, path: Path, labels) -> np.ndarray | None:
             rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
             if rows.shape != (len(lines), len(labels)) or not np.isfinite(rows).all():
                 return None
+            chars += len(text)
             if used + len(rows) > len(data):
-                grown = np.empty((max(used + len(rows), 2 * len(data),
-                                      _file_bytes(fh) * len(lines) // len(text)),
+                estimate = _file_bytes(fh) * (used + len(rows)) // chars + len(lines)
+                grown = np.empty((max(used + len(rows), 2 * len(data), estimate),
                                   len(labels)))
                 grown[:used] = data[:used]
                 data = grown

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +308,59 @@ class TestBatchedScreen:
         bands = [BANDS["theta"], BANDS["beta"]]
         pbc_table(ts, regions, pairs, bands)
         assert counts == {"rfft": 7 * len(bands), "irfft": (3 + 9 + 3 + 9) * len(bands)}
+
+
+    def test_channel_groups_change_no_value(self, monkeypatch, rng):
+        # pbc_table filters and screens `_group_width` channels at a time
+        # into one column-major array, designing each band's filter once
+        ts = make_ts(rng.standard_normal((3000, 7)))
+        regions = {"A": ("c0", "c1", "c2"), "B": ("c3",), "C": ("c4", "c5", "c6")}
+        pairs = [("A", "B"), ("A", "C"), ("C", "B"), ("C", "C")]
+        bands = [BANDS["theta"], BANDS["beta"]]
+        assert baselines._group_width(3000) >= 7  # one group
+        want = pbc_table(ts, regions, pairs, bands)
+        designs = []
+        butter = baselines.signal.butter
+        monkeypatch.setattr(baselines.signal, "butter",
+                            lambda *a, **k: designs.append(a) or butter(*a, **k))
+        for width in (1, 2, 3):
+            baselines._design.cache_clear()
+            designs.clear()
+            monkeypatch.setattr(baselines, "_group_width", lambda n: width)
+            assert pbc_table(ts, regions, pairs, bands).tobytes() == want.tobytes()
+            assert len(designs) == len(bands)
+
+    def test_peak_memory_holds_no_copy_of_all_channels(self, rng):
+        # beside the filtered channels and their spectra, only one group's
+        # working copies and one batch of inverse transforms are alive
+        import tracemalloc
+
+        ts = make_ts(rng.standard_normal((40_000, 16)))
+        regions = {"A": ts.labels[:8], "B": ts.labels[8:]}
+        tracemalloc.start()
+        try:
+            pbc_table(ts, regions, [("A", "B")], [BANDS["alpha"]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * ts.data.nbytes + 3 * baselines._WORKSPACE_BYTES
+
+
+@pytest.mark.parametrize("n", [15_000, 30_000])
+def test_pbc_does_not_depend_on_blas_threads(n):
+    # OpenBLAS splits a dot product of more than 10,000 elements between its
+    # threads; `_corr_at_lag` sums pieces of at most 10,000 itself
+    code = ("import sys; import numpy as np; from nvcoh.baselines import pbc; "
+            f"x = np.random.default_rng(3).standard_normal((6, {n})); "
+            "print(*(float(pbc(x[i], x[i + 1])).hex() for i in range(5)))")
+    src = str(Path(baselines.__file__).parents[1])
+    out = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
+        out[threads] = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True).stdout
+    assert out["1"] == out["2"]
 
 
 class TestRbp:

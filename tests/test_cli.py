@@ -845,6 +845,47 @@ class TestRefusedInputs:
             (tmp_path / "plain" / "profiles.csv").read_bytes()
 
 
+class TestColumnStd:
+    """`_column_std` squares the deviations a row block at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 25),
+           rows=st.integers(1, 40), blocks=st.floats(0.0, 3.5),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e6, 1e150]),
+           offset=st.sampled_from([0.0, 1.0, -1e4, 1e8]))
+    def test_equals_numpy_std(self, seed, width, rows, blocks, scale, offset):
+        # blocks of ``rows`` rows; row counts below, at and past the block
+        # size and its multiples
+        n = max(1, round(rows * blocks) + seed % 3 - 1)
+        data = np.random.default_rng(seed).standard_normal((n, width)) * scale + offset
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_WORKSPACE_BYTES", rows * 8 * width)
+            got = cli._column_std(data, data.mean(axis=0))
+        assert got.tobytes() == data.std(axis=0).tobytes()
+
+    @pytest.mark.parametrize("width", [2, 19])
+    def test_default_block_equals_numpy_std(self, width, rng):
+        block = cli._WORKSPACE_BYTES // (8 * width)
+        for n in (block - 1, block, block + 1, 2 * block + 7):
+            data = rng.standard_normal((n, width)) * 3 + 100
+            got = cli._column_std(data, data.mean(axis=0))
+            assert got.tobytes() == data.std(axis=0).tobytes()
+
+    def test_holds_no_copy_of_the_matrix(self, rng):
+        # numpy's std builds the squared deviations of every column at once
+        import tracemalloc
+
+        data = rng.standard_normal((60_000, 19))
+        mean = data.mean(axis=0)
+        tracemalloc.start()
+        try:
+            cli._column_std(data, mean)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 2
+
+
 class TestChannelsOutsideRegions:
     """A channel no region lists is neither checked nor rescaled."""
 

@@ -93,6 +93,32 @@ class TestChunkedParse:
         assert want is not None, f"the chunked path accepted {cell!r}"
         assert got.shape == (1, 1) and bits(got) == bits([[want]])
 
+    def test_array_is_allocated_once_when_later_lines_are_shorter(self, tmp_path):
+        # the first chunk's lines are one character longer than the rest, so
+        # its characters per line alone put the file's rows about 1,200 short;
+        # sized from every character read so far plus one chunk's lines, the
+        # array is never regrown, and never held twice while it is copied
+        cols = 16
+        wide = ",".join(["10"] + ["1"] * (cols - 1)) + "\n"
+        narrow = ",".join(["1"] * cols) + "\n"
+        path = tmp_path / "rec.csv"
+        path.write_text(",".join(f"c{i}" for i in range(cols)) + "\n"
+                        + wide * (tables._CHUNK_CHARS // len(wide) + 1)
+                        + narrow * (5 * tables._CHUNK_CHARS // len(narrow)))
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            data = read_numeric_csv(path)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.shape == (tables._CHUNK_CHARS // len(wide) + 1
+                              + 5 * tables._CHUNK_CHARS // len(narrow), cols)
+        # the array and its slack, plus one chunk's text, its loadtxt copy and
+        # rows; a regrown array (about three times the data) does not fit
+        assert peak < 2 * data.nbytes
+
     @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_separators_float_refuses_are_kept_from_loadtxt(self, sep):
         # loadtxt strips these around a number, so the chunked path must defer
