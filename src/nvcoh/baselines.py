@@ -9,34 +9,40 @@ default lag window are declared in `spectral` and re-exported here.
 
 The result of `pbc` is defined by `_corr_at_lag`, the correlation of each lag
 computed on its own overlapping samples.  `_band_pbc` computes it for many
-channel pairs of one band at once.  It screens every lag of every pair:
-each channel is centred and transformed by one real FFT, and its window sums
-(the totals less the dropped end samples) are formed once, however many
-pairs hold it; each pair inverts the product of its two spectra, in batches
-of a bounded workspace.  A stated δ bounds the screen's distance to
-`_corr_at_lag`, which then runs only at the lags that can hold the maximum.
-A pair with a channel on which the bound does not hold (extreme magnitudes,
-a window whose variance or offset swamps the rounding) evaluates every lag;
-the other pairs keep the screen.  δ's FFT term rests on an assumed error
-constant (see `_screen_pairs`); while δ bounds the screen's error, the
-result equals the all-lag evaluation bit for bit.  `pbc` is the one-pair case;
-`pbc_matrix` and `region_pbc` screen a region pair's channels together.
-`sosfiltfilt` filters each column on its own, so `pbc_table` filters the
-region channels of a band in groups of `_group_width` columns into one
-column-major array and screens every channel pair of every region pair of
-the band in one `_band_pbc`, whose screen centres and transforms the same
-groups; the values equal filtering region by region for every pair, and no
-copy of all the channels exists beside that array.  `_corr_at_lag` sums
+channel pairs of one band at once.  It screens every lag of every pair from
+short segments: each channel's centred samples are cut into segments of a
+length set by the lag window (`_segment_len`), each segment is transformed
+once per role the channel plays in each batch of pairs, and the segments'
+cross-spectra of a batch's channel pairs are summed per frequency into one
+Gram by a batched matrix product, over chunks of segments within a bounded
+workspace; each pair then inverts one short column of its batch's Gram.  A
+batch's Gram and working set never outgrow the workspace or the filtered
+channels themselves, whatever the lag window or the channel count.  The window
+sums (the totals less the dropped end samples) are formed once per channel,
+however many pairs hold it.  A stated δ bounds the screen's distance to
+`_corr_at_lag`, which then runs only at the lags that can hold the maximum.  A
+pair with a channel on which the bound does not hold (extreme magnitudes, a
+window whose variance or offset swamps the rounding) evaluates every lag; the
+other pairs keep the screen.  δ's FFT term rests on an assumed error constant
+(see `_screen_pairs`); while δ bounds the screen's error, the result equals
+the all-lag evaluation bit for bit.  `pbc` is the one-pair case; `pbc_matrix`
+and `region_pbc` screen a region pair's channels together.  `sosfiltfilt`
+filters each column on its own, so `pbc_table` filters the region channels of
+a band in groups of `_group_width` columns into one column-major array and
+screens every channel pair of every region pair of the band in one
+`_band_pbc`; the values equal filtering region by region for every pair, and
+no copy of all the channels exists beside that array.  `_corr_at_lag` sums
 each dot product in pieces of at most 10,000 elements (`_dot`), so its value
-does not depend on how many threads the BLAS library runs.  `scipy.signal`
-and `scipy.fft` load with this module, which the command line imports only
-for `nvc baseline`.
+does not depend on how many threads the BLAS library runs.  `scipy.signal` and
+`scipy.fft` load with this module, which the command line imports only for
+`nvc baseline`.
 """
 from __future__ import annotations
 
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 from scipy import signal
 
@@ -86,7 +92,7 @@ def _design(lo_hz: float, hi_hz: float, fs: float) -> np.ndarray:
 
 
 def _group_width(n: int) -> int:
-    """Channels of n samples filtered or screened at once.
+    """Channels of n samples filtered at once.
 
     `sosfiltfilt` holds about three copies of its input (the padded input
     and its two passes), so a group's working copies stay within
@@ -169,25 +175,83 @@ def _check_channels(f: np.ndarray, labels, where: str) -> None:
         raise DegenerateRanksError(f"zero-variance input: channel(s) {flat}{where}")
 
 
+def _segment_len(max_lag: int) -> int:
+    """L', the screen's segmented transform length: a power of two, at least 64.
+
+    It is the least one of at least 4 (2 max_lag + 1) points, so a segment,
+    L' - 2 max_lag samples, fills at least three quarters of each transform
+    and holds more than 2 max_lag samples.
+    """
+    return 1 << max(6, (4 * (2 * max_lag + 1) - 1).bit_length())
+
+
+def _segment_bytes(size: int, channels: int, lead: int, lag: int) -> int:
+    """Bytes `_screen_pairs` holds per segment of L' = ``size`` points.
+
+    The centred window of each of ``channels`` channels, and for the
+    ``lead`` leading and ``lag`` lagging rows their spectra beside the rows
+    being transformed.
+    """
+    return 8 * size * (channels + 2 * (lead + lag))
+
+
+def _pair_batches(i: np.ndarray, j: np.ndarray, size: int, budget: int):
+    """Ranges of the pairs (i[p], j[p]), sorted by i then j, screened together.
+
+    Each batch transforms its channels once.  Its Gram, ``(F, leading,
+    lagging)`` complex with the product added to it (as large), stays within
+    ``budget``, and so does one segment of its channels (`_segment_bytes`);
+    a batch holds at least one pair.
+    """
+    per_entry = 2 * 16 * (size // 2 + 1)
+    start, lead, lag = 0, set(), set()
+    for p, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+        grown = lead | {a}, lag | {b}
+        if p > start and max(per_entry * len(grown[0]) * len(grown[1]),
+                             _segment_bytes(size, len(grown[0] | grown[1]), len(grown[0]),
+                                            len(grown[1]))) > budget:
+            yield start, p
+            start, grown = p, ({a}, {b})
+        lead, lag = grown
+    yield start, i.size
+
+
 def _screen_pairs(f: np.ndarray, i: np.ndarray, j: np.ndarray, max_lag: int):
     """Correlations of columns i[p] and j[p] of ``f`` at every lag, their bounds δ, kept.
 
     ``f`` is ``(n, channels)``, finite.  Returns ``c`` and ``delta``, ``(pairs,
     lags)`` at lags -max_lag..max_lag, and ``kept``, true for the pairs on
-    which δ bounds |c - `_corr_at_lag`|.  Each channel's work is done once,
-    however many pairs hold it: its centring, one real FFT and its window
-    sums as the leading (i) and as the lagging (j) channel.  Channels are
-    centred and transformed in groups of `_group_width`, so only one group's
-    centred copy exists at a time.  Each pair then inverts the product of
-    its two spectra, in batches that keep the transforms within
-    `rank_core._WORKSPACE_BYTES`.
+    which δ bounds |c - `_corr_at_lag`|.  A channel's window sums are formed
+    once, however many pairs hold it, and its transforms once per role
+    (leading, i, or lagging, j) in each batch of pairs holding it.
 
-    Let u = 2**-53, g = 2n u / (1 - 2n u) and L = next_fast_len(n + max_lag).
-    For the pair of x (leading) and y (lagging), the screen works on
-    x0 = x - mean(x) and y0 = y - mean(y), with N = ||x0||, Q = N**2 (and
-    N', Q' for y0).  Per lag, with m = n - |lag|: S_xy comes from one real
-    FFT of length L per channel and one inverse per pair (zero padding keeps
-    it linear), S_x and S_xx are the total less the dropped end samples, and
+    The lagged sums come from short segments.  With L' = `_segment_len`
+    (max_lag) (512 at the default 50), each channel's centred samples are
+    cut into k = ceil(n / S) segments of S = L' - 2 max_lag samples.  In the
+    lagging role a segment is transformed as its window of S + 2 max_lag =
+    L' samples, max_lag more on each side (zero outside the channel); in the
+    leading role, as the same window with those 2 max_lag samples zeroed.
+    Every lag of segment s then stays inside its window, so the inverse
+    transform of conj(X_s) Y_s holds the segment's part of each lagged sum,
+    and the parts add up to the whole.  The sum over segments is taken per
+    frequency before the inverse, for many pairs at once.  The distinct
+    pairs, sorted, are screened in batches (`_pair_batches`); a batch
+    transforms its channels and sums the products of all its leading and
+    lagging channels into one Gram ``(F, leading, lagging)``, the batched
+    product ``(F, leading, k) @ (F, k, lagging)`` accumulated over chunks of
+    segments within `rank_core._WORKSPACE_BYTES`.  A batch's Gram, and one
+    segment of its channels, stay within the largest of that workspace, the
+    size of ``f`` and that of one ``(pairs, lags)`` array, so the screen
+    holds no more than the channels it screens or its own result, whatever
+    the lag window or the channel count; at the default lag one batch holds
+    every pair of the built-in montage.
+    Each pair then inverts its L'-point column of its batch's Gram.
+
+    Let u = 2**-53, g = 2n u / (1 - 2n u) and γ_k = k u / (1 - k u).  For
+    the pair of x (leading) and y (lagging), the screen works on x0 = x -
+    mean(x) and y0 = y - mean(y), with N = ||x0||, Q = N**2 (and N', Q' for
+    y0).  Per lag, with m = n - |lag|: S_xy comes from the segments' Gram,
+    S_x and S_xx are the total less the dropped end samples, and
 
         cov = S_xy - S_x S_y / m,  v_x = S_xx - S_x**2 / m,
         c = cov / sqrt(v_x v_y).
@@ -195,16 +259,25 @@ def _screen_pairs(f: np.ndarray, i: np.ndarray, j: np.ndarray, max_lag: int):
     Rounding (Higham, *Accuracy and Stability*, ch. 3 and 24, every sum of k
     terms within γ_k of the sum of magnitudes, in any order):
     |ΔS_x| <= g Σ|x0|, |ΔS_xx| <= g Q and, as m >= n / 2, |Δv_x| <= D_x = 8 g Q.
-    The order is free, so the row-wise sums over a stack of channels obey
-    the same bounds as one channel's.  A length-L FFT has relative 2-norm
-    error ε_F, per transform, so a batched call transforming many rows
-    obeys it row by row.  Its value is assumed, not derived: a radix-2
-    analysis gives about 6.7 u per stage, but `next_fast_len` lengths also
-    have factors 3 and 5, whose butterflies that analysis does not cover.
-    ε_F is taken as 10 u log2(L); on the tested inputs the screen's error
-    stayed below 6e-4 δ.  Through the product and the inverse,
-    |ΔS_xy| <= E = 4 (ε_F + u) sqrt(L) N N', so |Δcov| <= D_c = E + 8 g N N'.
-    With v_lo = v_x - D_x (v_x > 3 D_x gives r_x = D_x / v_lo <= 1/2):
+    The order is free, so the row-wise sums over a stack of channels, and
+    sums accumulated chunk by chunk, obey the same bounds as one channel's.
+    A length-L' FFT has relative 2-norm error ε_F, per transform, so a
+    batched call transforming many rows obeys it row by row.  Its value is
+    assumed, not derived: ε_F is taken as 10 u log2(L'), above the about
+    6.7 u per stage of a radix-2 analysis for the power-of-two L'; on the
+    tested inputs the screen's error stayed below 7e-4 δ.  Let N_s and M_s
+    be the norms of x0's segment s and of y0's window s.  Each sample lies
+    in one segment and, as S > 2 max_lag, in at most two windows, so Σ
+    N_s**2 = Q, Σ M_s**2 <= 2 Q' and Σ N_s M_s <= sqrt(2) N N'
+    (Cauchy-Schwarz).  Each segment's spectra are within ε_F sqrt(L') N_s
+    and ε_F sqrt(L') M_s of exact, the Gram sums k complex products per
+    frequency within 2 γ_{k+2} of the sum of their magnitudes, in any order,
+    so BLAS threads and the chunks change nothing, and the inverse adds its
+    own ε_F.  Through the Hermitian half spectra (a factor sqrt(2) at most),
+    |ΔS_xy| <= 4 (ε_F + γ_{k+2}) sqrt(L') Σ N_s M_s
+           <= E = 4 sqrt(2) (ε_F + γ_{k+2}) sqrt(L') N N',
+    so |Δcov| <= D_c = E + 8 g N N'.  With v_lo = v_x - D_x (v_x > 3 D_x gives
+    r_x = D_x / v_lo <= 1/2):
 
         |c - c_0| <= D_c / sqrt(v_lo v'_lo) + (1.5 (r_x + r_y) + 4 u) |c|,
 
@@ -225,30 +298,65 @@ def _screen_pairs(f: np.ndarray, i: np.ndarray, j: np.ndarray, max_lag: int):
     the role has v_x > 3 D_x and ρ_x <= 1/2: not a variance within the bound
     of zero, nor an offset that swamps the exact path's centring.
     """
-    n = f.shape[0]
+    n, channels = f.shape
     u = np.finfo(np.float64).eps / 2
     g = 2 * n * u / (1 - 2 * n * u)
-    size = sfft.next_fast_len(n + max_lag, real=True)
+    size = _segment_len(max_lag)
+    seg = size - 2 * max_lag
+    k = -(-n // seg)
     m = n - np.abs(np.arange(-max_lag, max_lag + 1))
-    channels = f.shape[1]
-    q = np.empty(channels)
-    total = np.empty(channels)
-    ends = np.empty((channels, 2 * max_lag))
-    spectra = np.empty((channels, size // 2 + 1), dtype=np.complex128)
+    q = np.zeros(channels)
+    total = np.zeros(channels)
+    # the distinct pairs, by leading then lagging channel
+    key, back = np.unique(i * channels + j, return_inverse=True)
+    pi, pj = np.divmod(key, channels)
+    sxy = np.empty((key.size, m.size))
     # channels outside the bound's range may overflow here; their pairs are not kept
     with np.errstate(all="ignore"):
         mx = np.maximum(f.max(axis=0), -f.min(axis=0))
-        # one group of channels at a time: a copy, one row per channel
-        width = _group_width(n)
-        for a in range(0, channels, width):
-            b = slice(a, a + width)
-            x0 = np.array(f[:, b].T, order="C")
-            x0 -= x0.mean(axis=1, keepdims=True)
-            q[b] = np.einsum("ij,ij->i", x0, x0)
-            total[b] = x0.sum(axis=1)
-            spectra[b] = sfft.rfft(x0, size, axis=-1)
-            ends[b] = np.concatenate((x0[:, :max_lag], x0[:, n - max_lag:]), axis=1)
-            del x0
+        mean = f.mean(axis=0)
+        ends = np.concatenate((f[:max_lag] - mean, f[n - max_lag:] - mean)).T
+        for b0, b1 in _pair_batches(pi, pj, size, max(_WORKSPACE_BYTES, f.nbytes, sxy.nbytes)):
+            lead, lag = np.unique(pi[b0:b1]), np.unique(pj[b0:b1])
+            cols = np.union1d(lead, lag)
+            at_lead, at_lag = np.searchsorted(cols, lead), np.searchsorted(cols, lag)
+            gram = np.zeros((size // 2 + 1, lead.size, lag.size), dtype=np.complex128)
+            qb, tb = np.zeros(cols.size), np.zeros(cols.size)
+            step = max(1, _WORKSPACE_BYTES // _segment_bytes(size, cols.size, lead.size,
+                                                             lag.size))
+            for s0 in range(0, k, step):
+                kc = min(step, k - s0)
+                # centred samples from s0 seg - max_lag on, zero outside the channel
+                lo = s0 * seg - max_lag
+                span = np.zeros(((kc - 1) * seg + size, cols.size))
+                a, b = max(lo, 0), min(lo + span.shape[0], n)
+                np.take(f[a:b], cols, axis=1, out=span[a - lo:b - lo], mode="clip")
+                span[a - lo:b - lo] -= mean[cols]
+                body = span[max_lag:max_lag + kc * seg]
+                qb += np.einsum("ij,ij->j", body, body)
+                tb += body.sum(axis=0)
+                # (L', channels, kc): window s of every channel, one column per segment
+                windows = sliding_window_view(span, size, axis=0)[::seg].transpose(2, 1, 0)
+                rows = np.take(windows, at_lead, axis=1)  # C-ordered: the transforms run faster
+                rows[:max_lag] = 0
+                rows[max_lag + seg:] = 0
+                leading = sfft.rfft(rows, axis=0)
+                del rows
+                np.conjugate(leading, out=leading)
+                lagging = sfft.rfft(np.take(windows, at_lag, axis=1), axis=0)
+                gram += leading @ lagging.transpose(0, 2, 1)
+                del span, windows, leading, lagging
+            q[cols], total[cols] = qb, tb
+            at_lead = np.searchsorted(lead, pi[b0:b1])
+            at_lag = np.searchsorted(lag, pj[b0:b1])
+            step = max(1, _WORKSPACE_BYTES // (3 * 8 * size))  # a Gram column and its inverse
+            for a in range(b0, b1, step):
+                b = slice(a - b0, a - b0 + step)
+                cross = sfft.irfft(gram[:, at_lead[b], at_lag[b]], size, axis=0)
+                sxy[a:a + cross.shape[1], :max_lag] = cross[size - max_lag:].T
+                sxy[a:a + cross.shape[1], max_lag:] = cross[:max_lag + 1].T
+            del gram
+        sxy = sxy[back]
         norm = np.sqrt(q)
         s = _window_sums(ends, total, max_lag)
         ss = _window_sums(ends * ends, q, max_lag)
@@ -263,18 +371,10 @@ def _screen_pairs(f: np.ndarray, i: np.ndarray, j: np.ndarray, max_lag: int):
         r = d / v_lo
         t = 2 * u * norm[:, None] / s_lo + rho
 
-        sxy = np.empty((i.size, m.size))
-        step = max(1, _WORKSPACE_BYTES // (3 * 8 * size))  # two spectra and one inverse
-        for a in range(0, i.size, step):
-            b = slice(a, a + step)
-            prod = spectra[i[b]]
-            np.conjugate(prod, out=prod)
-            prod *= spectra[j[b]]
-            cross = sfft.irfft(prod, size, axis=-1)
-            sxy[b, :max_lag] = cross[:, size - max_lag:]
-            sxy[b, max_lag:] = cross[:, :max_lag + 1]
         c = (sxy - s[0, i] * s[1, j] / m) / np.sqrt(v[0, i] * v[1, j])
-        fft_err = 4 * (10 * u * np.log2(size) + u) * np.sqrt(size) * norm[i] * norm[j]
+        gamma = (k + 2) * u / (1 - (k + 2) * u)
+        fft_err = (4 * np.sqrt(2) * (10 * u * np.log2(size) + gamma) * np.sqrt(size)
+                   * norm[i] * norm[j])
         delta = (((fft_err + 8 * g * norm[i] * norm[j])[:, None]
                   / np.sqrt(v_lo[0, i] * v_lo[1, j]))
                  + (1.5 * (r[0, i] + r[1, j]) + 4 * u) * np.abs(c)
@@ -358,7 +458,7 @@ def pbc_table(ts: TimeSeriesMatrix, regions, pairs, bands,
     splits = np.cumsum([len(regions[a]) * len(regions[b]) for a, b in pairs])[:-1]
     width = _group_width(ts.n_samples)
     # column-major, as sosfiltfilt returns it: each channel's samples are
-    # contiguous for the screen and the lagged correlations
+    # contiguous for the lagged correlations
     f = np.empty((len(channels), ts.n_samples)).T
     out = np.empty((len(pairs), len(bands)))
     for k, band in enumerate(bands):

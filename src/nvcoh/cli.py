@@ -43,13 +43,14 @@ from .rank_core import (
     derive_seed,
 )
 from . import spectral
-from .spectral import (  # noqa: F401  (bench/layers.py wraps nvc_profile here)
+from .spectral import (  # noqa: F401  (bench/layers.py wraps nvc_profile and rbp here)
     CANONICAL_BANDS,
     DEFAULT_MAX_LAG,
     BlockTooLongError,
     EmptyBandError,
     FrequencyBand,
     TimeSeriesMatrix,
+    band_shares,
     nvc_profile,
     rbp,
     retained_indices,
@@ -396,12 +397,14 @@ def cmd_baseline(args) -> int:
     channels = [ch for name in sorted(config.regions) for ch in config.regions[name]]
     _reject_constant(ts.data, [ts.labels.index(ch) for ch in channels], channels,
                      "have no band power to compare")
-    bands = _parse_bands(args.bands,
-                         retained_indices(args.block_len) * ts.fs / args.block_len)
+    freqs = retained_indices(args.block_len) * ts.fs / args.block_len
+    bands = _parse_bands(args.bands, freqs)
     nyquist = ts.fs / 2
     for band in bands:
         if band.lo_hz <= 0 or band.hi_hz >= nyquist:
             raise UsageError(f"band {band.name} must lie strictly inside (0, {nyquist}) Hz")
+        if not args.bands and not band.mask(freqs).any():  # `_parse_bands` checked --bands
+            raise UsageError(f"band {band.name} contains no retained frequency")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -409,12 +412,17 @@ def cmd_baseline(args) -> int:
     pbc_rows = [(f"{a}-{b}", band.name, float(table[p, k]))
                 for p, (a, b) in enumerate(config.pairs) for k, band in enumerate(bands)]
 
-    rbp_rows = []
-    for name in sorted(config.regions):
-        for band in bands:
-            vals = [rbp(ts, ch, band, bands_total=bands, block_len=args.block_len)
-                    for ch in config.regions[name]]
-            rbp_rows.append((name, band.name, float(np.mean(vals))))
+    # one periodogram per channel, every band's share read from it
+    shares, silent = {}, []
+    for ch in channels:
+        try:
+            shares[ch] = band_shares(ts, ch, bands, bands, args.block_len)
+        except DegenerateRanksError:
+            silent.append(ch)
+    if silent:
+        raise DegenerateRanksError(f"channel(s) {silent} have no power in the analysed bands")
+    rbp_rows = [(name, band.name, float(np.mean([shares[ch][k] for ch in config.regions[name]])))
+                for name in sorted(config.regions) for k, band in enumerate(bands)]
 
     _write_csv(out / "pbc.csv", ("pair", "band", "pbc"), pbc_rows)
     _write_csv(out / "rbp.csv", ("region", "band", "rbp"), rbp_rows)

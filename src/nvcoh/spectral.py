@@ -9,7 +9,9 @@ dependence statistic yields the nonlinear vector coherence (NVC) profile.
 plan for the whole montage, one sweep per stack of frequencies, each
 region's periodograms computed once; `nvc_profile` is its one-pair case.
 The relative band power baseline, `rbp`, is a share of the same block
-periodograms, so it lives here too, and `baselines` re-exports it.
+periodograms, so it lives here too, and `baselines` re-exports it;
+`band_shares` gives one channel's shares of many bands from one
+periodogram.
 `fan_out` runs one function over many tasks, in a process pool or
 in-process, and shows their warnings once in the calling process; `nvc
 analyze` hands it chunks of frequencies and `simulation.run_study`
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rank_core import _stack_depth, derive_seed
+from .rank_core import DegenerateRanksError, _stack_depth, derive_seed
 from .vector_measure import (  # noqa: F401  (bench/layers.py wraps t_n* here)
     PermutationPlan,
     _default_plan,
@@ -46,6 +48,7 @@ __all__ = [
     "block_periodograms",
     "nvc_profile",
     "band_summary",
+    "band_shares",
     "rbp",
 ]
 
@@ -309,23 +312,35 @@ def rbp(ts: TimeSeriesMatrix, channel: str, band: FrequencyBand,
 
     Power is the block-averaged periodogram summed over the band's retained
     frequencies; the denominator sums over the union of ``bands_total``, so
-    values over a partition of the analysed range add up to one.
+    values over a partition of the analysed range add up to one.  The
+    one-band case of `band_shares`.
     """
-    single = ts.select([channel])
-    tensor = block_periodograms(single, block_len)
+    return band_shares(ts, channel, (band,), bands_total, block_len)[0]
+
+
+def band_shares(ts: TimeSeriesMatrix, channel: str, bands,
+                bands_total=CANONICAL_BANDS, block_len: int = 100) -> list[float]:
+    """`rbp` of one channel in each of ``bands``, from one block periodogram.
+
+    A band with no retained frequency is an `EmptyBandError`, one outside
+    the union of ``bands_total`` a ValueError, and a channel with no power
+    in that union a `DegenerateRanksError` (a ValueError too).
+    """
+    tensor = block_periodograms(ts.select([channel]), block_len)
     power = tensor.values[:, 0, :].mean(axis=0)
-    band_mask = band.mask(tensor.freqs_hz)
-    total_mask = np.zeros_like(band_mask)
+    total_mask = np.zeros(tensor.freqs_hz.shape, dtype=bool)
     for b in bands_total:
         total_mask |= b.mask(tensor.freqs_hz)
-    if not band_mask.any():
-        raise EmptyBandError(f"band {band.name} contains no retained frequency")
-    if np.any(band_mask & ~total_mask):
-        raise ValueError("bands_total must cover the requested band")
+    masks = [band.mask(tensor.freqs_hz) for band in bands]
+    for band, band_mask in zip(bands, masks):
+        if not band_mask.any():
+            raise EmptyBandError(f"band {band.name} contains no retained frequency")
+        if np.any(band_mask & ~total_mask):
+            raise ValueError("bands_total must cover the requested band")
     total = power[total_mask].sum()
     if total <= 0:
-        raise ValueError("no spectral power in the analysed range")
-    return float(power[band_mask].sum() / total)
+        raise DegenerateRanksError("no spectral power in the analysed range")
+    return [float(power[band_mask].sum() / total) for band_mask in masks]
 
 
 def _recorded(fn, task):

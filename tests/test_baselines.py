@@ -21,7 +21,9 @@ from nvcoh.baselines import (
     rbp,
     region_pbc,
 )
-from nvcoh.spectral import CANONICAL_BANDS, EmptyBandError, FrequencyBand, TimeSeriesMatrix
+from nvcoh.rank_core import DegenerateRanksError
+from nvcoh.spectral import (CANONICAL_BANDS, EmptyBandError, FrequencyBand, TimeSeriesMatrix,
+                            band_shares)
 
 BANDS = {b.name: b for b in CANONICAL_BANDS}
 
@@ -184,13 +186,27 @@ class TestPbc:
         assert pbc(y, x, max_lag) == pbc_every_lag(y, x, max_lag)
 
     def test_screen_error_within_bound(self, rng):
-        ts = make_ts(rng.standard_normal((6000, 2)))
-        f = bandpass(ts, BANDS["alpha"])
-        c, delta, kept = _screen_one(f[:, 0], f[:, 1], 50)
-        assert kept
-        exact = [_corr_at_lag(f[:, 0], f[:, 1], lag) for lag in range(-50, 51)]
-        assert np.all(np.abs(c - exact) <= delta)
-        assert np.all(delta < 1e-6)  # tight enough to leave about one candidate
+        # segment boundaries (n a multiple of the segment length, and one more
+        # and one less), one segment and its edge, and the shortest channels;
+        # channels in one role or both, so the Gram's leading and lagging
+        # sets differ
+        seg = baselines._segment_len(50) - 100
+        cases = [(50, 6000), *[(50, 3 * seg + d) for d in (-1, 0, 1)],
+                 (50, 300), (50, seg + 50), (50, seg + 51), (50, min_samples(50)),
+                 *[(0, 2 * baselines._segment_len(0) + d) for d in (-1, 0, 1)],
+                 (0, min_samples(0))]
+        i, j = np.array([(0, 1), (0, 2), (3, 1), (2, 2), (2, 0)]).T
+        for max_lag, n in cases:
+            f = rng.standard_normal((n, 4))
+            if n > 100:
+                f = bandpass(make_ts(f), BANDS["alpha"])
+            c, delta, kept = _screen_pairs(f, i, j, max_lag)
+            assert kept.all()
+            for p, (x, y) in enumerate(zip(i, j)):
+                exact = [_corr_at_lag(f[:, x], f[:, y], lag)
+                         for lag in range(-max_lag, max_lag + 1)]
+                assert np.all(np.abs(c[p] - exact) <= delta[p]), (max_lag, n, p)
+            assert np.all(delta < 1e-6)  # tight enough to leave about one candidate
 
 
 class TestRegionPbc:
@@ -288,30 +304,66 @@ class TestBatchedScreen:
                     assert pbc(f[x], f[y], max_lag) == want[i, j]
 
     def test_one_forward_transform_per_channel(self, monkeypatch, rng):
-        # every channel pair of every region pair in a band shares one
-        # forward transform per channel; each pair has one inverse
+        # every channel pair of every region pair in a band shares each
+        # channel's transforms: one row per segment for each role the channel
+        # plays (leading in A and C, lagging in B and C), all of length L';
+        # each pair inverts its one L'-point sum
         counts = {"rfft": 0, "irfft": 0}
+        lengths = set()
 
         def counted(name):
             real = getattr(baselines.sfft, name)
 
             def transform(x, *args, axis=-1, **kwargs):
                 counts[name] += x.size // x.shape[axis]
-                return real(x, *args, axis=axis, **kwargs)
+                out = real(x, *args, axis=axis, **kwargs)
+                lengths.add(x.shape[axis] if name == "rfft" else out.shape[axis])
+                return out
             return transform
 
         for name in counts:
             monkeypatch.setattr(baselines.sfft, name, counted(name))
-        ts = make_ts(rng.standard_normal((3000, 7)))
         regions = {"A": ("c0", "c1", "c2"), "B": ("c3",), "C": ("c4", "c5", "c6")}
         pairs = [("A", "B"), ("A", "C"), ("C", "B"), ("C", "C")]
         bands = [BANDS["theta"], BANDS["beta"]]
-        pbc_table(ts, regions, pairs, bands)
-        assert counts == {"rfft": 7 * len(bands), "irfft": (3 + 9 + 3 + 9) * len(bands)}
+        pbc_table(make_ts(rng.standard_normal((3000, 7))), regions, pairs, bands)
+        size = baselines._segment_len(50)
+        assert counts == {"rfft": -(-3000 // (size - 100)) * (6 + 4) * len(bands),
+                          "irfft": (3 + 9 + 3 + 9) * len(bands)}
+        assert lengths == {size}
 
+    def test_pair_batches_change_no_value(self, monkeypatch, rng):
+        # batches of one pair or of two, each transforming its own channels
+        # one segment at a time, give the same values; a pair listed twice
+        # is screened once
+        size = baselines._segment_len(50)
+        batches = baselines._pair_batches
+        i, j = np.array([0, 0, 1, 1, 2]), np.array([1, 2, 0, 2, 0])
+        # one segment of two pairs of three channels takes 72 size bytes, of
+        # three pairs 88 size or more
+        assert list(batches(i, j, size, 1)) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        assert list(batches(i, j, size, 80 * size)) == [(0, 2), (2, 4), (4, 5)]
+
+        ts = make_ts(rng.standard_normal((3000, 7)))
+        regions = {"A": ("c0", "c1", "c2"), "B": ("c3",), "C": ("c4", "c5", "c6")}
+        pairs = [("A", "B"), ("A", "C"), ("C", "B"), ("C", "C"), ("A", "C")]
+        bands = [BANDS["theta"], BANDS["beta"]]
+        want = pbc_table(ts, regions, pairs, bands)
+        assert want[1].tobytes() == want[4].tobytes()
+        f = bandpass(ts, bands[0])
+        i, j = np.array([(0, 3), (5, 4), (2, 6), (0, 3), (4, 4)]).T
+        screened = _screen_pairs(f, i, j, 50)
+        monkeypatch.setattr(baselines, "_WORKSPACE_BYTES", 1)  # one segment a chunk
+        for budget in (1, 80 * size):
+            monkeypatch.setattr(baselines, "_pair_batches",
+                                lambda i, j, size, _: batches(i, j, size, budget))
+            assert pbc_table(ts, regions, pairs, bands).tobytes() == want.tobytes()
+            c, delta, kept = _screen_pairs(f, i, j, 50)
+            assert kept.all() and c[0].tobytes() == c[3].tobytes()
+            assert np.all(np.abs(c - screened[0]) <= delta + screened[1])
 
     def test_channel_groups_change_no_value(self, monkeypatch, rng):
-        # pbc_table filters and screens `_group_width` channels at a time
+        # pbc_table filters `_group_width` channels at a time
         # into one column-major array, designing each band's filter once
         ts = make_ts(rng.standard_normal((3000, 7)))
         regions = {"A": ("c0", "c1", "c2"), "B": ("c3",), "C": ("c4", "c5", "c6")}
@@ -331,8 +383,9 @@ class TestBatchedScreen:
             assert len(designs) == len(bands)
 
     def test_peak_memory_holds_no_copy_of_all_channels(self, rng):
-        # beside the filtered channels and their spectra, only one group's
-        # working copies and one batch of inverse transforms are alive
+        # beside the filtered channels and the screen's Gram, only one group's
+        # filter copies, one chunk of segments and one batch of inverse
+        # transforms are alive
         import tracemalloc
 
         ts = make_ts(rng.standard_normal((40_000, 16)))
@@ -344,6 +397,24 @@ class TestBatchedScreen:
         finally:
             tracemalloc.stop()
         assert peak < 2 * ts.data.nbytes + 3 * baselines._WORKSPACE_BYTES
+
+    def test_peak_memory_bounded_at_a_long_lag_window(self, rng):
+        # at max_lag 1024 (L' = 16384) the Gram of all 8 x 8 channels would
+        # take 8.4 MB, and its product as much again; the screen's batches
+        # keep each Gram and segment within the workspace, so only the
+        # (pairs, lags) arrays of c and δ, eight at most, grow with the pairs
+        import tracemalloc
+
+        ts = make_ts(rng.standard_normal((4000, 16)))
+        regions = {"A": ts.labels[:8], "B": ts.labels[8:]}
+        tracemalloc.start()
+        try:
+            pbc_table(ts, regions, [("A", "B")], [BANDS["alpha"]], max_lag=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lagged = 64 * (2 * 1024 + 1) * 8
+        assert peak < 2 * ts.data.nbytes + 3 * baselines._WORKSPACE_BYTES + 8 * lagged
 
 
 @pytest.mark.parametrize("n", [15_000, 30_000])
@@ -398,3 +469,16 @@ class TestRbp:
         ts = make_ts(rng.standard_normal(5000), labels=("w",))
         with pytest.raises(EmptyBandError):
             rbp(ts, "w", FrequencyBand("dc", 0.0, 0.5))
+
+    def test_band_shares_equal_rbp_band_by_band(self, rng):
+        ts = make_ts(rng.standard_normal((5000, 2)), labels=("v", "w"))
+        for ch in ts.labels:
+            assert band_shares(ts, ch, CANONICAL_BANDS) == [
+                rbp(ts, ch, band) for band in CANONICAL_BANDS]
+
+    def test_no_power_in_the_bands_is_a_degeneracy(self):
+        # a +-1-alternating channel holds all its power at the dropped
+        # Nyquist ordinate
+        ts = make_ts((-1.0) ** np.arange(5000), labels=("w",))
+        with pytest.raises(DegenerateRanksError, match="no spectral power"):
+            rbp(ts, "w", BANDS["alpha"])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nvcoh import cli, spectral
+from nvcoh import baselines, cli, spectral
 from nvcoh.baselines import region_pbc
 from nvcoh.cli import (
     DEFAULT_ROIS,
@@ -424,6 +424,21 @@ class TestBaselineCommand:
         rows = list(csv.DictReader(open(out / "pbc.csv")))
         assert all(float(r["pbc"]) == pytest.approx(1.0, abs=1e-9) for r in rows)
 
+    def test_one_periodogram_per_channel(self, tmp_path, rng, monkeypatch):
+        # relative band power reads every band's share from one block
+        # periodogram per region channel
+        calls = []
+        real = spectral.block_periodograms
+        monkeypatch.setattr(spectral, "block_periodograms",
+                            lambda ts, block_len: calls.append(ts.labels) or real(ts, block_len))
+        rec = tmp_path / "rec.csv"
+        write_csv(rec, ["a", "b", "c"], rng.standard_normal((4000, 3)))
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"RA": ["a"], "RB": ["b", "c"]})
+        assert main(["baseline", "--input", str(rec), "--regions", str(reg), "--fs", "100",
+                     "--out-dir", str(tmp_path / "out"), "--discard-secs", "0"]) == EXIT_OK
+        assert sorted(calls) == [("a",), ("b",), ("c",)]
+
     def test_pure_tone_rbp(self, tmp_path):
         t = np.arange(6000) / 100.0
         rec = tmp_path / "rec.csv"
@@ -500,6 +515,23 @@ class TestExitCodesAndDeterminism:
         assert rc == EXIT_DEGENERATE
         assert err.startswith("nvc: numerical degeneracy: ") and err.count("\n") == 1
         assert "['a']" in err and "delta" in err
+
+    def test_channel_without_power_in_the_bands(self, tmp_path, capsys):
+        # a +-1-alternating channel holds all its power at the Nyquist
+        # ordinate, which the block periodograms drop
+        alternating = (-1.0) ** np.arange(3000)
+        noise = np.random.default_rng(0).standard_normal((3000, 2))
+        rec = tmp_path / "rec.csv"
+        write_csv(rec, ["a", "b", "c", "d"],
+                  np.column_stack([alternating, noise[:, 0], -alternating, noise[:, 1]]))
+        reg = tmp_path / "regions.json"
+        write_regions(reg, {"RA": ["a", "b"], "RB": ["c", "d"]})
+        rc = main(["baseline", "--input", str(rec), "--regions", str(reg),
+                   "--fs", "100", "--out-dir", str(tmp_path / "out"), "--seed", "0",
+                   "--discard-secs", "0"])
+        assert rc == EXIT_DEGENERATE
+        assert capsys.readouterr().err == ("nvc: numerical degeneracy: channel(s) "
+                                           "['a', 'c'] have no power in the analysed bands\n")
 
     def test_env_var_seed(self, tmp_path, monkeypatch):
         out1 = tmp_path / "o1"
@@ -600,6 +632,21 @@ class TestParameterBoundary:
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err == \
             "nvc: usage error: band x contains no retained frequency\n"
+        assert not out.exists()
+
+    def test_canonical_band_off_the_grid_refused_before_filtering(
+            self, two_region_recording, tmp_path, capsys, monkeypatch):
+        # four-sample blocks at 100 Hz retain 25 Hz alone, so delta holds no
+        # retained frequency; no band is filtered before that is found
+        monkeypatch.setattr(baselines, "pbc_table",
+                            lambda *a, **k: pytest.fail("filtered before the bands were checked"))
+        rec, reg = two_region_recording
+        out = tmp_path / "out"
+        rc = main(["baseline", "--input", str(rec), "--regions", str(reg),
+                   "--block-len", "4", "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "nvc: usage error: band delta contains no retained frequency\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
