@@ -33,9 +33,10 @@ screens every channel pair of every region pair of the band in one
 `_band_pbc`; the values equal filtering region by region for every pair, and
 no copy of all the channels exists beside that array.  `_corr_at_lag` sums
 each dot product in pieces of at most 10,000 elements (`_dot`), so its value
-does not depend on how many threads the BLAS library runs.  `scipy.signal` and
-`scipy.fft` load with this module, which the command line imports only for
-`nvc baseline`.
+does not depend on how many threads the BLAS library runs.  The screen's
+transforms are numpy's, as every other spectrum of the package; `scipy.signal`,
+for the filters, loads with this module, which the command line imports only
+for `nvc baseline`.
 """
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sfft
 from scipy import signal
 
 from .rank_core import _WORKSPACE_BYTES, DegenerateRanksError
@@ -261,7 +261,7 @@ def _screen_pairs(f: np.ndarray, i: np.ndarray, j: np.ndarray, max_lag: int):
     |ΔS_x| <= g Σ|x0|, |ΔS_xx| <= g Q and, as m >= n / 2, |Δv_x| <= D_x = 8 g Q.
     The order is free, so the row-wise sums over a stack of channels, and
     sums accumulated chunk by chunk, obey the same bounds as one channel's.
-    A length-L' FFT has relative 2-norm error ε_F, per transform, so a
+    numpy's length-L' FFT has relative 2-norm error ε_F, per transform, so a
     batched call transforming many rows obeys it row by row.  Its value is
     assumed, not derived: ε_F is taken as 10 u log2(L'), above the about
     6.7 u per stage of a radix-2 analysis for the power-of-two L'; on the
@@ -340,10 +340,10 @@ def _screen_pairs(f: np.ndarray, i: np.ndarray, j: np.ndarray, max_lag: int):
                 rows = np.take(windows, at_lead, axis=1)  # C-ordered: the transforms run faster
                 rows[:max_lag] = 0
                 rows[max_lag + seg:] = 0
-                leading = sfft.rfft(rows, axis=0)
+                leading = np.fft.rfft(rows, axis=0)
                 del rows
                 np.conjugate(leading, out=leading)
-                lagging = sfft.rfft(np.take(windows, at_lag, axis=1), axis=0)
+                lagging = np.fft.rfft(np.take(windows, at_lag, axis=1), axis=0)
                 gram += leading @ lagging.transpose(0, 2, 1)
                 del span, windows, leading, lagging
             q[cols], total[cols] = qb, tb
@@ -352,7 +352,7 @@ def _screen_pairs(f: np.ndarray, i: np.ndarray, j: np.ndarray, max_lag: int):
             step = max(1, _WORKSPACE_BYTES // (3 * 8 * size))  # a Gram column and its inverse
             for a in range(b0, b1, step):
                 b = slice(a - b0, a - b0 + step)
-                cross = sfft.irfft(gram[:, at_lead[b], at_lag[b]], size, axis=0)
+                cross = np.fft.irfft(gram[:, at_lead[b], at_lag[b]], size, axis=0)
                 sxy[a:a + cross.shape[1], :max_lag] = cross[size - max_lag:].T
                 sxy[a:a + cross.shape[1], max_lag:] = cross[:max_lag + 1].T
             del gram

@@ -102,6 +102,8 @@ class RegionConfig:
             for ch in channels:
                 if ch not in labels:
                     raise DataError(f"region {name} lists unknown channel {ch}")
+                if seen.get(ch) == name:
+                    raise DataError(f"region {name} lists channel {ch} twice")
                 if ch in seen:
                     raise DataError(
                         f"channel {ch} appears in regions {seen[ch]} and {name}")

@@ -42,11 +42,11 @@ rows, and every null draw, needs numpy alone.  The matrix is the contract's
 row sum over C-contiguous rows.  numpy sums at most seven terms strictly
 left to right, so up to seven columns the same matrix results from adding
 per-column squared differences in column order, and column sets that share a
-prefix share its partial sum.  A sweep keeps those sums in one workspace per
-thread, reused by every sweep: per matrix of the stack, one squared-distance
-matrix per column and a chain of prefix sums, ``used + longest - 1`` n-by-n
-float64 matrices.  A stack holds as many matrices as keep the workspace
-within `_WORKSPACE_BYTES`, one core's L2 cache (`_stack_depth`): ten at 50
+prefix share its partial sum.  A sweep keeps those sums in a workspace of its
+own: per matrix of the stack, one squared-distance matrix per column and a
+chain of prefix sums, ``used + longest - 1`` n-by-n float64 matrices.  A
+stack holds as many matrices as keep the workspace within
+`_WORKSPACE_BYTES`, one core's L2 cache (`_stack_depth`): ten at 50
 rows and six columns (200 KB each), one for the built-in montage's 18
 columns at 115 rows (2.3 MB).  Sorted sets walk the chain depth first, so
 each prefix is summed once and each set is scanned right after its sum is
@@ -55,9 +55,7 @@ computed by the contract expression itself.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,11 +332,14 @@ def _nn_kdtree(v: np.ndarray) -> tuple[np.ndarray, list]:
 
     tree = cKDTree(v)
     dd, ii = tree.query(v, k=3)
-    ddm = np.where(ii == np.arange(n)[:, None], np.inf, dd)
-    two = np.argsort(ddm, axis=1)[:, :2]
-    d1 = np.take_along_axis(ddm, two[:, :1], axis=1).ravel()
-    d2 = np.take_along_axis(ddm, two[:, 1:], axis=1).ravel()
-    n_of = np.take_along_axis(ii, two[:, :1], axis=1).ravel().astype(np.int64)
+    # the query lists distances in ascending order and a row's own index at
+    # most once, so the row's two nearest other rows sit at positions a and
+    # b; where it leaves the row out, three others lie at distance 0 and the
+    # exact re-check below decides
+    row = np.arange(n)
+    a = (ii[:, 0] == row).astype(np.intp)
+    b = np.where(ii[:, 1] == row, 2, a + 1)
+    d1, d2, n_of = dd[row, a], dd[row, b], ii[row, a]
     # a near-tie in tree distances is re-resolved with the exact metric
     near = (d2 - d1) <= d1 * _NEAR_TIE_RTOL
     tied = []
@@ -368,10 +369,10 @@ def search_all(z: np.ndarray, sets) -> NeighborCandidates:
     Below it every set is scanned in its squared-distance matrices, the
     whole stack at once.  Sets of at most `_MAX_ACCUMULATED_WIDTH` columns
     are summed column by column into a chain of prefix sums, one slot per
-    prefix length, in one reused workspace; a set recomputes only the
-    prefixes longer than the one it shares with the set before it.  So a
-    lexicographically sorted list walks its prefixes depth first, and each
-    set is scanned right after its sum is formed.
+    prefix length, in a workspace allocated for the sweep; a set recomputes
+    only the prefixes longer than the one it shares with the set before it.
+    So a lexicographically sorted list walks its prefixes depth first, and
+    each set is scanned right after its sum is formed.
     """
     sets = [tuple(cols) for cols in sets]
     k, n, _ = z.shape
@@ -379,10 +380,8 @@ def search_all(z: np.ndarray, sets) -> NeighborCandidates:
     tied = {}
     # the flat position of each row of the stack, f * n * n + j * n, for `_nn_scan`
     starts = np.arange(0, k * n * n, n).reshape(k, n)
-    # squares that overflow are inf, as in the contract; silencing the
-    # warning slows every ufunc call, so only such data pays for it
-    with (np.errstate(over="ignore") if _squares_may_overflow(z)
-          else contextlib.nullcontext()):
+    # squares that overflow are inf, as in the contract
+    with np.errstate(over="ignore"):
         if n >= _EXHAUSTIVE_MAX_N:
             for s, cols in enumerate(sets):
                 for f in range(k):
@@ -402,7 +401,7 @@ def search_all(z: np.ndarray, sets) -> NeighborCandidates:
             single = dict(zip(used, range(len(used))))
             # one stack of matrices per column, then one chain slot per
             # prefix length past the first
-            ws = _workspace(len(used) + max(map(len, narrow)) - 1, k, n)
+            ws = np.empty((len(used) + max(map(len, narrow)) - 1, k, n, n))
             zu = z[:, :, used].transpose(2, 0, 1)
             singles = ws[:len(used)]
             np.subtract(zu[..., :, None], zu[..., None, :], out=singles)
@@ -436,24 +435,9 @@ def search_all(z: np.ndarray, sets) -> NeighborCandidates:
     return NeighborCandidates(n_of, tied)
 
 
-_local = threading.local()
 # a sweep's workspace stays within this many bytes, the size of one core's
 # L2 cache on the machines measured (README, "Performance")
 _WORKSPACE_BYTES = 2 * 2**20
-
-
-def _workspace(slots: int, k: int, n: int) -> np.ndarray:
-    """A ``(slots, k, n, n)`` float64 scratch array, reused by every sweep.
-
-    One buffer per thread, grown when a sweep needs more.  Reuse keeps it in
-    cache; a buffer allocated afresh for each sweep faulted in no more pages
-    but made the chained statistic slower (README, "Performance").
-    """
-    size = slots * k * n * n
-    buf = getattr(_local, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _local.buf = np.empty(size)
-    return buf[:size].reshape(slots, k, n, n)
 
 
 def _stack_depth(sets, n: int) -> int:

@@ -190,7 +190,8 @@ def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
     degeneracy (for example a constant channel whose periodogram ordinates are
     all tied) is recorded as NaN rather than failing the profile.  Missing
     plans default to the exhaustive or sampled plan of each dimension under
-    ``seed`` (the plan of ``x`` only for ``tstar``).  The one-pair case of
+    ``seed`` (the plan of ``x`` only for ``tstar``); a plan of another
+    dimension than its side raises.  The one-pair case of
     `_montage_profiles`.
     """
     if x.fs != y.fs:
@@ -199,11 +200,13 @@ def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
         raise ValueError("recordings must share the time base")
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    tensors = [block_periodograms(x, block_len), block_periodograms(y, block_len)]
     if plan_y is None:
         plan_y = _default_plan(y.n_channels, None, seed)
     if plan_x is None and measure == "tstar":
         plan_x = _default_plan(x.n_channels, None, seed)
+    if plan_y.q != y.n_channels or (plan_x is not None and plan_x.q != x.n_channels):
+        raise ValueError("plan dimensions do not match the pair")
+    tensors = [block_periodograms(x, block_len), block_periodograms(y, block_len)]
     return _montage_profiles(tensors, [(0, 1)], block_len, x.fs, measure, [seed],
                              [(plan_x, plan_y)])[0]
 

@@ -123,11 +123,20 @@ class TestRegions:
         with pytest.raises(DataError, match="unknown channel"):
             config.validate_against(("a", "b"))
 
-    def test_overlapping_regions_rejected(self, tmp_path):
+    def test_overlapping_regions_rejected(self, tmp_path, capsys):
+        rec = tmp_path / "rec.csv"
+        write_csv(rec, ["a", "b", "c"], np.random.default_rng(0).standard_normal((600, 3)))
         reg = tmp_path / "r.json"
-        write_regions(reg, {"RA": ["a"], "RB": ["a"]})
-        with pytest.raises(DataError, match="appears in regions"):
-            load_region_config(reg).validate_against(("a", "b"))
+        for regions, message in [
+                ({"RA": ["a"], "RB": ["a"]}, "channel a appears in regions RA and RB"),
+                ({"RA": ["a", "b", "a"], "RB": ["c"]}, "region RA lists channel a twice")]:
+            write_regions(reg, regions)
+            with pytest.raises(DataError, match=f"^{message}$"):
+                load_region_config(reg).validate_against(("a", "b", "c"))
+            rc = main(["analyze", "--input", str(rec), "--regions", str(reg),
+                       "--out-dir", str(tmp_path / "out")])
+            assert rc == EXIT_DATA
+            assert capsys.readouterr().err == f"nvc: data error: {message}\n"
 
     def test_explicit_pairs_honoured(self, tmp_path):
         reg = tmp_path / "r.json"

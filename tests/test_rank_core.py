@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from nvcoh import rank_core
 from nvcoh.rank_core import (
@@ -122,6 +123,20 @@ class TestNearestNeighbors:
                                                        -np.inf, np.inf))
         got = nearest_neighbors(v, seed=seed).n_of
         assert np.array_equal(got, brute_force_neighbors(v, seed=seed))
+
+    def test_kdtree_query_that_leaves_a_row_out(self):
+        # eight exact copies of one row: the tree's three nearest of a copy
+        # may be three other copies, so the row itself is not among them and
+        # only the exact re-check at distance zero finds every candidate
+        r = np.random.default_rng(0)
+        v = r.standard_normal((170, 3))
+        v[r.choice(170, 8, replace=False)] = v[0]
+        assert v.shape[0] >= rank_core._EXHAUSTIVE_MAX_N
+        _, ii = cKDTree(v).query(v, k=3)
+        assert (ii != np.arange(170)[:, None]).all(axis=1).any()
+        for seed in range(4):
+            got = nearest_neighbors(v, seed=seed).n_of
+            assert np.array_equal(got, brute_force_neighbors(v, seed=seed))
 
     @pytest.mark.parametrize("offset", [-60, 0])
     def test_column_major_input_matches_contract(self, offset):

@@ -10,6 +10,7 @@ import pytest
 from nvcoh import spectral
 from nvcoh.cli import DEFAULT_ROIS
 from nvcoh.rank_core import _stack_depth, derive_seed
+from nvcoh.simulation import gen_case
 from nvcoh.spectral import (
     CANONICAL_BANDS,
     BlockPeriodogramTensor,
@@ -165,6 +166,16 @@ class TestNvcProfile:
         with pytest.raises(ValueError):
             nvc_profile(x, y, 100)
 
+    @pytest.mark.parametrize("measure, side, q", [
+        ("tbar", "plan_y", 1), ("tbar", "plan_y", 3), ("tstar", "plan_x", 1),
+        ("tstar", "plan_y", 1), ("t", "plan_y", 3)])
+    def test_plan_of_another_dimension_rejected(self, measure, side, q):
+        # two channels a side: a plan of one column would score y's first
+        # channel alone (or drop x's second), one of three index past y
+        x, y = gen_case(1, 60, seed=1)
+        with pytest.raises(ValueError, match="plan dimensions"):
+            nvc_profile(x, y, 100, measure, seed=1, **{side: make_plan(q)})
+
     @pytest.mark.parametrize("measure", ["t", "tbar", "tstar"])
     def test_constant_column_at_one_frequency(self, monkeypatch, measure):
         # periodograms drawn directly: a response channel constant at one
@@ -242,11 +253,9 @@ def _tstar_profile(shape) -> np.ndarray:
 
 
 def test_interleaved_shapes_equal_fresh_processes():
-    # term plans are cached across calls, and every sweep reuses one
-    # workspace, which holds the previous sweep's matrices, of another
-    # stack depth or row count, when it starts;
-    # profiles of different shapes, interleaved in one process, equal each
-    # shape's profile as the first call of a new interpreter
+    # term plans are cached across calls; profiles of different shapes,
+    # interleaved in one process, equal each shape's profile as the first
+    # call of a new interpreter
     tests = str(Path(__file__).resolve().parent)
     src = str(Path(spectral.__file__).resolve().parents[1])
     fresh = []
