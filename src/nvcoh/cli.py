@@ -58,7 +58,7 @@ from .spectral import (  # noqa: F401  (bench/layers.py wraps nvc_profile and rb
 from .tables import DataError, read_numeric_csv
 from .tables import write_csv as _write_csv
 from .tables import write_json as _write_json
-from .vector_measure import _default_plan
+from .vector_measure import _measure_plans
 
 __all__ = ["DataError", "RegionConfig", "ingest_csv", "main"]
 
@@ -292,20 +292,17 @@ def _parse_bands(spec: str | None, freqs: np.ndarray) -> tuple[FrequencyBand, ..
         if bits[0] in {band.name for band in bands}:
             raise UsageError(f"band name {bits[0]!r} is repeated")
         try:
-            band = FrequencyBand(bits[0], float(bits[1]), float(bits[2]))
+            lo, hi = float(bits[1]), float(bits[2])
+        except ValueError:
+            raise UsageError(f"band {part!r} has a bound that is not a number") from None
+        try:
+            band = FrequencyBand(bits[0], lo, hi)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         if not band.mask(freqs).any():
             raise UsageError(f"band {band.name} contains no retained frequency")
         bands.append(band)
     return tuple(bands)
-
-
-def _band_of(freq: float, bands) -> str:
-    for band in bands:
-        if band.lo_hz < freq <= band.hi_hz:
-            return band.name
-    return ""
 
 
 def cmd_analyze(args) -> int:
@@ -324,9 +321,8 @@ def cmd_analyze(args) -> int:
     fs = ts.fs
     del ts  # neither the sweep nor the null reads the recording again
     # plans are keyed by dimension, so every pair with the same q shares one
-    plans = [(_default_plan(len(config.regions[a]), args.q_perms, args.seed)
-              if args.measure == "tstar" else None,
-              _default_plan(len(config.regions[b]), args.q_perms, args.seed))
+    plans = [_measure_plans(args.measure, len(config.regions[a]),
+                            len(config.regions[b]), args.seed, n_perms=args.q_perms)
              for a, b in config.pairs]
     profiles = spectral._montage_profiles(
         tensors, [(regions.index(a), regions.index(b)) for a, b in config.pairs],
@@ -349,13 +345,15 @@ def cmd_analyze(args) -> int:
     if finite.any():
         p_adj[finite] = bh_adjust(p_raw[finite])
 
+    masks = [band.mask(freqs) for band in bands]
+    # each frequency's label: the first band that holds it, "" if none does
+    band_of = np.select(masks, [band.name for band in bands], "").tolist()
     csv_rows = []
     for pair_name, profile, praw, padj in zip(names, profiles, p_raw, p_adj):
         estimates = profile.estimates
         ensemble = ensembles[n_blocks, profile.meta["q"]]
         summary = {}
-        for band in bands:
-            mask = band.mask(freqs)
+        for band, mask in zip(bands, masks):
             if not mask.any():
                 continue
             vals = estimates[mask]
@@ -379,7 +377,7 @@ def cmd_analyze(args) -> int:
         }
         _write_json(out / f"profile_{pair_name}.json", payload)
         for i, f in enumerate(freqs):
-            csv_rows.append((pair_name, _band_of(float(f), bands), float(f),
+            csv_rows.append((pair_name, band_of[i], float(f),
                              float(estimates[i]), float(praw[i]), float(padj[i])))
 
     _write_csv(out / "profiles.csv",

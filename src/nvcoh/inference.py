@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rank_core import _xi_null_batch
+from .rank_core import _order_rows, _xi_null_batch
 
 __all__ = [
     "NullEnsemble",
@@ -144,7 +144,8 @@ def group_permutation_test(a, b, n_perms: int = DEFAULT_GROUP_PERMS, seed: int =
     done = 0
     while done < n_perms:
         m = min(chunk, n_perms - done)
-        idx = np.argsort(rng.random((m, n_total)), axis=1)[:, :n_small]
+        # the order of rng.random((m, n_total)), tied keys in column order
+        idx = _order_rows(rng.bit_generator.random_raw((m, n_total)))[:, :n_small]
         sums = pool[idx].sum(axis=1)
         means_small = sums / n_small
         means_rest = (total - sums) / (n_total - n_small)

@@ -191,22 +191,15 @@ def _row_ranks(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, l
 
 
-def _choose(candidates: np.ndarray, seed: int, j: int) -> int:
-    """Pick a neighbor among ascending-index candidates; seeded if tied."""
-    if candidates.shape[0] == 1:
-        return int(candidates[0])
-    rng = np.random.default_rng((seed, int(j)))
-    return int(candidates[rng.integers(candidates.shape[0])])
-
-
 class NeighborCandidates:
     """Seed-free result of one neighbour sweep over a stack of matrices.
 
     ``n_of[s, f]`` holds, for column set s of matrix f, each row's nearest
     other row: the unique one, or the first of several exact minimisers.
     ``tied`` maps each ``(s, f)`` that has such rows to the rows and their
-    ascending candidates.  `resolve` applies the tie-break convention for one
-    seed, so a single sweep serves every seed that shares the predictors.
+    ascending candidates, two or more per row.  `resolve` applies the
+    tie-break convention for one seed, so a single sweep serves every seed
+    that shares the predictors.
     """
 
     __slots__ = ("n_of", "tied")
@@ -219,7 +212,7 @@ class NeighborCandidates:
         """Each row's neighbour in set s of matrix f, ties drawn for ``seed``."""
         n_of = self.n_of[s, f].copy()
         for j, cand in self.tied.get((s, f), ()):
-            n_of[j] = _choose(cand, seed, j)
+            n_of[j] = cand[np.random.default_rng((seed, j)).integers(cand.shape[0])]
         return n_of
 
 
@@ -230,7 +223,10 @@ def _nn_sorted(x: np.ndarray) -> tuple[np.ndarray, list]:
     at sorted position p has its minimum at p - 1 or p + 1.  It is unique
     unless it equals the gap on the other side or one step further out on the
     same side; such rows are re-checked exactly over the window in the radius.
-    Returns each row's neighbour and the tied rows with their candidates.
+    Each has two sorted neighbours at its smallest squared gap, and the
+    re-check squares the same differences, so it finds two candidates or
+    more.  Returns each row's neighbour and the tied rows with their
+    candidates.
     """
     order = np.argsort(x, kind="stable")
     sx = x[order]
@@ -244,24 +240,20 @@ def _nn_sorted(x: np.ndarray) -> tuple[np.ndarray, list]:
     n_of = np.empty_like(order)
     n_of[order] = order[np.arange(order.size) + np.where(to_left, -1, 1)]
     recheck = np.flatnonzero((left == right) | (best == further))
-    tied = []
     if recheck.size == 0:
-        return n_of, tied
+        return n_of, []
     # differences below about 1.5e-154 have subnormal or zero squares, too
     # coarse for a relative radius, so the radius never shrinks below that
     radius = np.maximum(np.sqrt(best[recheck]) * (1.0 + 1e-9), 1e-150)
     lo = np.searchsorted(sx, sx[recheck] - radius, side="left")
     hi = np.searchsorted(sx, sx[recheck] + radius, side="right")
+    tied = []
     for p, a, b in zip(recheck.tolist(), lo.tolist(), hi.tolist()):
         j = int(order[p])
         if sx[a] == sx[b - 1]:  # all at distance zero, ascending (stable sort)
-            cand = np.concatenate((order[a:p], order[p + 1:b]))
+            tied.append((j, np.concatenate((order[a:p], order[p + 1:b]))))
         else:
-            cand = _exact_candidates(x[:, None], j, order[a:b])
-        if cand.shape[0] == 1:
-            n_of[j] = cand[0]
-        else:
-            tied.append((j, cand))
+            tied.append((j, _exact_candidates(x[:, None], j, order[a:b])))
     return n_of, tied
 
 
@@ -669,42 +661,50 @@ def _key_ranker(n: int, rows: int):
     ``rank(rng, m)`` draws the keys of ``rng.random((m, n))`` and returns,
     per row, the rank of each key among its row, ``1..n``, in the smallest
     unsigned type that holds n.  The ranks live in a buffer of ``rows``
-    rows, reused by every call.
-
-    Up to 2048 columns, where a key's 53 significant bits and a column index
-    of ``b = (n - 1).bit_length()`` bits fit one uint64, a block is ranked by
-    one in-place sort of the packed values ``(word >> 11) << b | column``,
-    drawn as raw 64-bit words of the bit generator: `Generator.random`
-    returns ``(word >> 11) * 2**-53`` from one word per key, so these are
-    its keys' bits, in its order, with no float keys in between.  After the
-    sort, each value's low ``b`` bits are its row's order.  Exact key ties,
-    with a chance of about ``n**2 * 2**-54`` per row, break by column.  Past
-    2048 columns ``argsort`` of the float keys gives the order.  Either
-    order, offset by its row's flat position, scatters the ranks ``1..n``
-    into the rank buffer.
+    rows, reused by every call.  `_order_rows` orders the keys from their
+    raw 64-bit words, and the order, offset by its row's flat position,
+    scatters the ranks ``1..n`` into the rank buffer.
     """
-    bits = (n - 1).bit_length()
-    packs = 53 + bits <= 64
-    cols = np.arange(n, dtype=np.uint64)
-    mask = np.uint64((1 << bits) - 1)
     r0 = np.empty((rows, n), dtype=np.min_scalar_type(n))
     starts = np.arange(0, rows * n, n)[:, None]
     ranks = np.tile(np.arange(1, n + 1, dtype=r0.dtype), rows)
 
     def rank(rng: np.random.Generator, m: int) -> np.ndarray:
-        if packs:
-            order = rng.bit_generator.random_raw((m, n))
-            order >>= np.uint64(11)
-            order <<= np.uint64(bits)
-            order |= cols
-            order.sort(axis=1)
-            order &= mask
-            order = order.view(np.int64)
-        else:
-            order = rng.random((m, n)).argsort(axis=1)
+        order = _order_rows(rng.bit_generator.random_raw((m, n)))
         # the ranks of the keys, r0[i, order[i, k - 1]] = k, through flat positions
         order += starts[:m]
         r0[:m].reshape(-1)[order.reshape(-1)] = ranks[:order.size]
         return r0[:m]
 
     return rank
+
+
+def _order_rows(words: np.ndarray) -> np.ndarray:
+    """Each row's argsort of the keys ``Generator.random`` makes of ``words``.
+
+    ``words`` holds ``(m, n)`` raw 64-bit words of a bit generator, which
+    `Generator.random` turns into the keys ``(word >> 11) * 2**-53``, one
+    word a key.  Equal keys, with a chance of about ``n**2 * 2**-54`` per
+    row, stay in column order, as in ``argsort(kind="stable")``, on every
+    platform.  One in-place sort of the packed values ``(word >> 11 + s) <<
+    b | column`` orders every row, ``b = (n - 1).bit_length()`` bits for
+    the column, and the low ``b`` bits of the sorted values are the order.
+    Up to 2048 columns, ``s = 0`` and the packed value holds a key's 53
+    bits whole.  Past that, it holds the top ``53 - s = 64 - b`` bits, and a
+    row where two of those tie is sorted again by its whole keys, stably.
+    Overwrites ``words`` with the order and returns it as int64.
+    """
+    n = words.shape[1]
+    bits = (n - 1).bit_length()
+    cut = max(0, bits - 11)
+    keys = (words >> np.uint64(11)) if cut else None
+    words >>= np.uint64(11 + cut)
+    words <<= np.uint64(bits)
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort(axis=1)
+    if cut:
+        top = words >> np.uint64(bits)
+        for i in np.flatnonzero((top[:, 1:] == top[:, :-1]).any(axis=1)):
+            words[i] = keys[i].argsort(kind="stable")
+    words &= np.uint64((1 << bits) - 1)
+    return words.view(np.int64)

@@ -28,7 +28,7 @@ import numpy as np
 from .rank_core import DegenerateRanksError, _stack_depth, derive_seed
 from .vector_measure import (  # noqa: F401  (bench/layers.py wraps t_n* here)
     PermutationPlan,
-    _default_plan,
+    _measure_plans,
     _montage_plan,
     _sides,
     t_n,
@@ -191,8 +191,8 @@ def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
     all tied) is recorded as NaN rather than failing the profile.  Missing
     plans default to the exhaustive or sampled plan of each dimension under
     ``seed`` (the plan of ``x`` only for ``tstar``); a plan of another
-    dimension than its side raises.  The one-pair case of
-    `_montage_profiles`.
+    dimension than its side raises (`vector_measure._measure_plans`).  The
+    one-pair case of `_montage_profiles`.
     """
     if x.fs != y.fs:
         raise ValueError("recordings must share the sampling rate")
@@ -200,15 +200,10 @@ def nvc_profile(x: TimeSeriesMatrix, y: TimeSeriesMatrix, block_len: int,
         raise ValueError("recordings must share the time base")
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    if plan_y is None:
-        plan_y = _default_plan(y.n_channels, None, seed)
-    if plan_x is None and measure == "tstar":
-        plan_x = _default_plan(x.n_channels, None, seed)
-    if plan_y.q != y.n_channels or (plan_x is not None and plan_x.q != x.n_channels):
-        raise ValueError("plan dimensions do not match the pair")
+    plans = _measure_plans(measure, x.n_channels, y.n_channels, seed, plan_x, plan_y)
     tensors = [block_periodograms(x, block_len), block_periodograms(y, block_len)]
     return _montage_profiles(tensors, [(0, 1)], block_len, x.fs, measure, [seed],
-                             [(plan_x, plan_y)])[0]
+                             [plans])[0]
 
 
 def _montage_profiles(tensors, pairs, block_len: int, fs: float, measure: str,

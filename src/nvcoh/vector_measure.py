@@ -57,18 +57,22 @@ DEFAULT_MAX_PERMS = 24
 
 @dataclass(frozen=True)
 class FeatureMatrixPair:
-    """Predictor block ``x`` (n x p) and response block ``y`` (n x q)."""
+    """Predictor block ``x`` (n x p) and response block ``y`` (n x q).
+
+    A 1-D side of n values is read as one column.
+    """
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(self.y, dtype=np.float64))
-        if x.shape[0] == 1 and y.shape[0] > 1:
-            x = x.T
-        if y.shape[0] == 1 and x.shape[0] > 1:
-            y = y.T
+        x = np.asarray(self.x, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.float64)
+        # a vector is one column, as in `rank_core._predictor_matrix`
+        x = x[:, None] if x.ndim == 1 else x
+        y = y[:, None] if y.ndim == 1 else y
+        if x.ndim != 2 or y.ndim != 2:
+            raise ValueError("each block must be a vector or an (n, d) matrix")
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y must have the same number of rows")
         if x.shape[0] < 2:
@@ -155,6 +159,27 @@ def _default_plan(dim: int, n_perms: int | None, seed: int) -> PermutationPlan:
     master seed shares one plan per dimension.
     """
     return make_plan(dim, n_perms, seed=derive_seed(seed, "plan", dim))
+
+
+def _measure_plans(measure: str, p: int, q: int, seed: int,
+                   plan_x: PermutationPlan | None = None,
+                   plan_y: PermutationPlan | None = None,
+                   n_perms: int | None = None) -> tuple[PermutationPlan | None,
+                                                        PermutationPlan]:
+    """``(plan_x, plan_y)`` of ``measure`` on p predictor and q response columns.
+
+    A plan the caller passes is kept; a missing ``plan_y``, and under
+    ``tstar`` a missing ``plan_x``, is `_default_plan` of its side's
+    dimension with a budget of ``n_perms`` orderings.  A plan of another
+    dimension than its side raises.
+    """
+    if plan_y is None:
+        plan_y = _default_plan(q, n_perms, seed)
+    if plan_x is None and measure == "tstar":
+        plan_x = _default_plan(p, n_perms, seed)
+    if plan_y.q != q or (plan_x is not None and plan_x.q != p):
+        raise ValueError("plan dimensions do not match the pair")
+    return plan_x, plan_y
 
 
 def term_seed(seed: int, direction: str, response: str, predictors) -> int:
@@ -318,20 +343,12 @@ def t_n(pair: FeatureMatrixPair, seed: int = 0) -> float:
 def t_n_bar(pair: FeatureMatrixPair, plan: PermutationPlan | None = None,
             seed: int = 0) -> float:
     """Mean of ``t_n`` over the plan's response-column orderings."""
-    if plan is None:
-        plan = _default_plan(pair.q, None, seed)
-    if plan.q != pair.q:
-        raise ValueError(f"plan is for q={plan.q}, pair has q={pair.q}")
-    return _statistic(pair, _sides("tbar", pair.q, plan_y=plan), seed)
+    plans = _measure_plans("tbar", pair.p, pair.q, seed, plan_y=plan)
+    return _statistic(pair, _sides("tbar", pair.q, *plans), seed)
 
 
 def t_n_star(pair: FeatureMatrixPair, plan_x: PermutationPlan | None = None,
              plan_y: PermutationPlan | None = None, seed: int = 0) -> float:
     """Symmetric variant: max of the permutation-invariant means both ways."""
-    if plan_y is None:
-        plan_y = _default_plan(pair.q, None, seed)
-    if plan_x is None:
-        plan_x = _default_plan(pair.p, None, seed)
-    if plan_y.q != pair.q or plan_x.q != pair.p:
-        raise ValueError("plan dimensions do not match the pair")
-    return _statistic(pair, _sides("tstar", pair.q, plan_x, plan_y), seed)
+    plans = _measure_plans("tstar", pair.p, pair.q, seed, plan_x, plan_y)
+    return _statistic(pair, _sides("tstar", pair.q, *plans), seed)

@@ -113,7 +113,7 @@ def xi_null_reference(n, count, rng):
         keys = rng.random((m, n))
         r0_nn = rng.integers(1, n + 1, size=(m, n), dtype=np.int64)
         for key, nn in zip(keys, r0_nn):
-            r0 = np.argsort(np.argsort(key)) + 1
+            r0 = np.argsort(np.argsort(key, kind="stable")) + 1  # ties by column
             l0 = n - r0 + 1
             num = int((n * np.minimum(r0, nn) - l0 * l0).sum())
             den = int((l0 * (n - l0)).sum())

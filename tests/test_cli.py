@@ -152,13 +152,22 @@ class TestRegions:
         ('{"regions": {"RA": ["a1"], "RB": ["b1"]}, "pairs": [["RA", "RB", "RA"]]}',
          "pairs of two region names"),
         ('{"regions": {"RA": "a1", "RB": ["b1"]}}', "list of channels"),
+        ('{"regions": {"RA": [], "RB": ["b1"]}}', "region RA has no channels"),
+        ('{"regions": {"RA": ["a1"], "RB": ["b1"]}, "pairs": [["RA", "RC"]]}',
+         "pair (RA, RC) references unknown region RC"),
+        ('{"regions": ', "invalid region JSON"),
+        # not UTF-8, and no JSON in any single-byte encoding either
+        (b'\xff{"regions": {"RA": ["a1"], "RB": ["b1"]}}', "invalid region JSON"),
     ], ids=["missing", "top_level_list", "regions_list", "three_name_pair",
-            "string_channels"])
+            "string_channels", "empty_channel_list", "unknown_region_in_pair",
+            "json_syntax", "not_utf8"])
     def test_malformed_config_is_a_data_error(self, content, message, tmp_path, capsys):
         rec = tmp_path / "rec.csv"
         write_csv(rec, ["a1", "b1"], np.random.default_rng(0).standard_normal((600, 2)))
         reg = tmp_path / "regions.json"
-        if content is not None:
+        if isinstance(content, bytes):
+            reg.write_bytes(content)
+        elif content is not None:
             reg.write_text(content)
         rc = main(["analyze", "--input", str(rec), "--regions", str(reg),
                    "--out-dir", str(tmp_path / "out")])
@@ -542,6 +551,16 @@ class TestExitCodesAndDeterminism:
         assert capsys.readouterr().err == ("nvc: numerical degeneracy: channel(s) "
                                            "['a', 'c'] have no power in the analysed bands\n")
 
+    def test_env_var_seed_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NVC_SEED", "abc")
+        out = tmp_path / "out"
+        rc = main(["null-dist", "--n-blocks", "30", "--q", "1", "--null-reps", "100",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "nvc: usage error: NVC_SEED must be an integer, got 'abc'\n"
+        assert not out.exists()
+
     def test_env_var_seed(self, tmp_path, monkeypatch):
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"
@@ -766,6 +785,22 @@ class TestRefusedInputs:
     ], ids=["repeated", "empty"])
     def test_band_names_unique_and_named(self, command, spec, message,
                                          two_region_recording, tmp_path, capsys):
+        rec, reg = two_region_recording
+        out = tmp_path / "out"
+        rc, err = self.run([command, "--input", str(rec), "--regions", str(reg),
+                            "--bands", spec, "--out-dir", str(out)], capsys)
+        assert rc == EXIT_USAGE
+        assert err == f"nvc: usage error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "baseline"])
+    @pytest.mark.parametrize("spec, message", [
+        ("alpha:12:8", "invalid band alpha: (12.0, 8.0]"),
+        ("alpha:x:12", "band 'alpha:x:12' has a bound that is not a number"),
+    ], ids=["reversed", "not_a_number"])
+    def test_band_bounds_refused_naming_the_band(self, command, spec, message,
+                                                 two_region_recording, tmp_path,
+                                                 capsys):
         rec, reg = two_region_recording
         out = tmp_path / "out"
         rc, err = self.run([command, "--input", str(rec), "--regions", str(reg),

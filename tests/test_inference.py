@@ -122,6 +122,20 @@ class TestGroupPermutationTest:
         assert r1.p_value == r2.p_value
         assert r1.statistic == r2.statistic
 
+    @pytest.mark.parametrize("sizes", [(7, 12), (1500, 1000)])
+    def test_labels_follow_the_generators_keys(self, sizes, rng):
+        # the smaller group takes the first columns of a stable argsort of
+        # rng.random keys over the sorted pool; past 2048 values in the pool
+        # the packed sort keeps only the keys' top bits
+        a = rng.standard_normal(sizes[0])
+        b = rng.standard_normal(sizes[1]) + 0.1
+        res = group_permutation_test(a, b, n_perms=300, seed=3)
+        pool = np.sort(np.concatenate([a, b]))
+        keys = np.random.default_rng(3).random((300, pool.size))
+        sums = pool[keys.argsort(axis=1, kind="stable")[:, :min(sizes)]].sum(axis=1)
+        diff = np.abs(sums / min(sizes) - (pool.sum() - sums) / max(sizes))
+        assert res.p_value == (1 + int((diff >= res.statistic).sum())) / 301
+
     def test_power_against_clear_shift(self):
         hits = 0
         for seed in range(50):

@@ -553,6 +553,35 @@ class TestXiNull:
         assert ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53 == keys).all()
         assert ((words >> np.uint64(11)) < 2**53).all()
 
+    @pytest.mark.parametrize("n", [115, 2048, 2049, 3000])
+    def test_tied_keys_rank_by_column(self, n):
+        # a stand-in generator: in two rows the keys take three values, so
+        # nearly all tie, and equal keys must rank in column order; in the
+        # third, falling keys 0..n-1 apart by one in their lowest bit, which
+        # past 2048 columns the packed sort leaves out, must rank by key
+        class TiedKeys:
+            def __init__(self, words):
+                self.words, self.bit_generator = words, self
+
+            def random_raw(self, size):
+                return self.words[:size[0]].copy()
+
+            def random(self, size):  # the keys `Generator.random` makes of the words
+                return (self.words[:size[0]] >> np.uint64(11)) * 2.0**-53
+
+        m = 3
+        words = np.random.default_rng(n).integers(1, 4, (m, n)).astype(np.uint64)
+        words <<= np.uint64(62)
+        words[2] = np.arange(n, dtype=np.uint64)[::-1] << np.uint64(11)
+        keys = (words >> np.uint64(11)).astype(np.float64)
+        ranks = rank_core._key_ranker(n, m)(TiedKeys(words), m)
+        assert (ranks[2] == np.arange(n, 0, -1)).all()
+        for key, r in zip(keys, ranks):
+            # the keys below each one, and the equal keys up to its column
+            equal = key[:, None] == key[None, :]
+            want = (key[None, :] < key[:, None]).sum(axis=1) + np.tril(equal).sum(axis=1)
+            assert (r == want).all()
+
     @pytest.mark.parametrize("n", [115, 595])
     def test_batch_memory_stays_below_a_chunk(self, n):
         # one chunk of float keys alone takes 32 MiB; the draw holds its

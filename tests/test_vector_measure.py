@@ -88,6 +88,21 @@ class TestTn:
             FeatureMatrixPair(rng.standard_normal((5, 1)), rng.standard_normal((6, 1)))
         with pytest.raises(ValueError):
             FeatureMatrixPair(np.array([[np.nan], [1.0]]), np.ones((2, 1)))
+        # a (1, n) side is one row of n columns, not a column
+        with pytest.raises(ValueError, match="same number of rows"):
+            FeatureMatrixPair(rng.standard_normal((1, 6)), rng.standard_normal((6, 1)))
+        for side in (1.0, np.zeros((6, 2, 2))):
+            with pytest.raises(ValueError, match="vector or an"):
+                FeatureMatrixPair(side, rng.standard_normal(6))
+
+    def test_vector_sides_are_columns(self, rng):
+        # tie-free, so no seed enters xi
+        x = rng.standard_normal(150)
+        y = rng.standard_normal(150)
+        pair = FeatureMatrixPair(x, y)
+        assert (pair.p, pair.q) == (1, 1)
+        assert t_n(pair) == xi_n(y, x)
+        assert t_n(pair) == t_n(FeatureMatrixPair(x[:, None], y[:, None]))
 
 
 class TestTnBar:
@@ -128,7 +143,7 @@ class TestTnBar:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_plan_dimension_checked(self, pair):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^plan dimensions do not match the pair$"):
             t_n_bar(pair, plan=make_plan(3), seed=0)
 
 
@@ -147,6 +162,11 @@ class TestTnStar:
         star = t_n_star(pair, seed=1)
         assert star >= t_n_bar(pair, seed=1)
         assert star >= t_n_bar(FeatureMatrixPair(y, x), seed=1)
+
+    @pytest.mark.parametrize("side", ["plan_x", "plan_y"])
+    def test_plan_dimension_checked(self, pair, side):
+        with pytest.raises(ValueError, match="^plan dimensions do not match the pair$"):
+            t_n_star(pair, **{side: make_plan(3)}, seed=0)
 
     def test_identical_blocks_directions_agree(self, rng):
         x = rng.standard_normal((80, 2))
