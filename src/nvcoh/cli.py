@@ -126,7 +126,7 @@ def default_region_config() -> RegionConfig:
 def load_region_config(path) -> RegionConfig:
     """Regions and pairs from a JSON object; a malformed file is a `DataError`."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read region config {path}: {exc.strerror}") from exc
@@ -568,7 +568,7 @@ _FLAGS: dict[str, tuple[dict, tuple | None]] = {
     "input": (dict(required=True, help="samples-by-channels CSV"), None),
     "regions": (dict(help="region config JSON"), None),
     "bands": (dict(help="name:lo:hi,... (default canonical)"), None),
-    "measure": (dict(choices=("t", "tbar", "tstar"), default="tstar"), None),
+    "measure": (dict(choices=spectral.MEASURES, default="tstar"), None),
     "standardize": (dict(action=argparse.BooleanOptionalAction, default=True), None),
     "cohort_a": (dict(required=True, help="feature CSV, one row per subject"), None),
     "cohort_b": (dict(required=True), None),

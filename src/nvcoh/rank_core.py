@@ -13,11 +13,11 @@ The tie-break convention is part of the public contract: any independent
 re-implementation that follows it reproduces this module's output bit for bit.
 
 `xi_n` and every term of the chained statistic in `vector_measure` run one
-evaluator, `_xi_terms`, on a stack of data matrices, one per frequency: one
-sort ranks the response rows of every matrix, one neighbour sweep searches
-the predictor sets in every matrix, and one reduction gives the ratio of
-each distinct (response, set) pair, shared by its terms.
-`xi_n` and `nearest_neighbors` are stacks of one matrix.
+evaluator, `_xi_terms`, on data matrices, one per frequency, which it cuts
+into stacks: per stack, one sort ranks the response rows of every matrix,
+one neighbour sweep searches the predictor sets in every matrix, and one
+reduction gives the ratio of each distinct (response, set) pair, shared by
+its terms.  `xi_n` and `nearest_neighbors` are stacks of one matrix.
 
 Neighbour search runs in two steps.  ``search_all(z, sets)`` needs no seed:
 it returns, for each of a list of column subsets in each matrix of the stack
@@ -44,14 +44,14 @@ left to right, so up to seven columns the same matrix results from adding
 per-column squared differences in column order, and column sets that share a
 prefix share its partial sum.  A sweep keeps those sums in a workspace of its
 own: per matrix of the stack, one squared-distance matrix per column and a
-chain of prefix sums, ``used + longest - 1`` n-by-n float64 matrices.  A
-stack holds as many matrices as keep the workspace within
-`_WORKSPACE_BYTES`, one core's L2 cache (`_stack_depth`): ten at 50
-rows and six columns (200 KB each), one for the built-in montage's 18
-columns at 115 rows (2.3 MB).  Sorted sets walk the chain depth first, so
-each prefix is summed once and each set is scanned right after its sum is
-formed.  numpy sums eight or more terms pairwise, so wider matrices are
-computed by the contract expression itself.
+chain of prefix sums, ``used + longest - 1`` n-by-n float64 matrices.
+`_xi_terms` alone sizes its stacks, and so the workspace: a stack holds as
+many matrices as keep the workspace within `_WORKSPACE_BYTES`, one core's
+L2 cache (`_stack_depth`): ten at 50 rows and six columns (200 KB each),
+one for the built-in montage's 18 columns at 115 rows (2.3 MB).  Sorted
+sets walk the chain depth first, so each prefix is summed once and each set
+is scanned right after its sum is formed.  numpy sums eight or more terms
+pairwise, so wider matrices are computed by the contract expression itself.
 """
 from __future__ import annotations
 
@@ -519,36 +519,41 @@ def _xi_terms(y: np.ndarray, z: np.ndarray, sets, term_resp: np.ndarray,
               term_set: np.ndarray, seed_of) -> np.ndarray:
     """xi of each term t in matrix f: row ``term_resp[t]`` of ``y[f]`` on its set.
 
-    ``y`` holds a stack of finite ``(m, n)`` response rows, ``(k, m, n)``,
-    and ``sets`` column tuples of the finite ``(k, n, d)`` stack ``z``,
-    sorted so the sweep shares their prefixes; term t's set is
-    ``sets[term_set[t]]``.  One sort ranks all ``k * m`` rows, one sweep
-    searches every set in every matrix, and one reduction gives the ratio of
-    each distinct (response, set) in each matrix, which every term of that
-    pair shares.  Where a term's set has exact ties in matrix f, the term
-    draws them with ``seed_of(f, t)``, called for that pair alone, and gets a
-    ratio of its own in the same reduction.  Returns ``(k, terms)``; a term
-    whose response row is constant there is NaN.
+    ``y`` holds k matrices of finite ``(m, n)`` response rows, ``(k, m,
+    n)``, and ``sets`` column tuples of the k finite ``(n, d)`` matrices of
+    ``z``, sorted so the sweep shares their prefixes; term t's set is
+    ``sets[term_set[t]]``.  The matrices go through in stacks of
+    `_stack_depth`.  Per stack, one sort ranks every response row, one
+    sweep searches every set in every matrix, and one reduction gives the
+    ratio of each distinct (response, set) in each matrix, which every term
+    of that pair shares.  Where a term's set has exact ties in matrix f, the
+    term draws them with ``seed_of(f, t)``, called for that pair alone, and
+    gets a ratio of its own in the same reduction.  Returns ``(k, terms)``;
+    a term whose response row is constant there is NaN.
     """
     k, m, n = y.shape
-    r, l = _row_ranks(y.reshape(k * m, n))
-    found = search_all(z, sets)
     pairs, term_pair = np.unique(term_resp * len(sets) + term_set, return_inverse=True)
     resp, pair_set = np.divmod(pairs, len(sets))
-    # per (pair, matrix), the row of r holding its response and its neighbours
-    rows = (resp[:, None] + np.arange(0, k * m, m)).reshape(-1)
-    n_of = found.n_of[pair_set].reshape(-1, n)
-    tied = [(f, t) for s, f in found.tied for t in np.flatnonzero(term_set == s).tolist()]
-    if tied:
-        rows = np.concatenate((rows, [f * m + term_resp[t] for f, t in tied]))
-        n_of = np.concatenate((n_of, [found.resolve(term_set[t], f, seed_of(f, t))
-                                      for f, t in tied]))
-    # the flat positions in r of each row's neighbours
-    n_of += (rows * n)[:, None]
-    vals = _xi_ratios(r, l, r.reshape(-1)[n_of], rows)
-    out = vals[:pairs.size * k].reshape(-1, k)[term_pair].T
-    for (f, t), v in zip(tied, vals[pairs.size * k:]):
-        out[f, t] = v
+    out = np.empty((k, term_resp.size))
+    step = _stack_depth(sets, n)
+    for a in range(0, k, step):
+        h = min(step, k - a)
+        r, l = _row_ranks(y[a:a + h].reshape(h * m, n))
+        found = search_all(z[a:a + h], sets)
+        # per (pair, matrix), the row of r holding its response and its neighbours
+        rows = (resp[:, None] + np.arange(0, h * m, m)).reshape(-1)
+        n_of = found.n_of[pair_set].reshape(-1, n)
+        tied = [(f, t) for s, f in found.tied for t in np.flatnonzero(term_set == s).tolist()]
+        if tied:
+            rows = np.concatenate((rows, [f * m + term_resp[t] for f, t in tied]))
+            n_of = np.concatenate((n_of, [found.resolve(term_set[t], f, seed_of(a + f, t))
+                                          for f, t in tied]))
+        # the flat positions in r of each row's neighbours
+        n_of += (rows * n)[:, None]
+        vals = _xi_ratios(r, l, r.reshape(-1)[n_of], rows)
+        out[a:a + h] = vals[:pairs.size * h].reshape(-1, h)[term_pair].T
+        for (f, t), v in zip(tied, vals[pairs.size * h:]):
+            out[a + f, t] = v
     return out
 
 

@@ -6,8 +6,9 @@ squared frequency content at every retained Fourier frequency.  Feeding the
 per-frequency feature matrices of two channel groups into the vector
 dependence statistic yields the nonlinear vector coherence (NVC) profile.
 `_montage_profiles` gives the profiles of many region pairs at once: one
-plan for the whole montage, one sweep per stack of frequencies, each
-region's periodograms computed once; `nvc_profile` is its one-pair case.
+plan for the whole montage, one evaluator call per chunk of frequencies
+(`rank_core._xi_terms` sizes the stacks each sweep takes), each region's
+periodograms computed once; `nvc_profile` is its one-pair case.
 The relative band power baseline, `rbp`, is a share of the same block
 periodograms, so it lives here too, and `baselines` re-exports it;
 `band_shares` gives one channel's shares of many bands from one
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rank_core import DegenerateRanksError, _stack_depth, derive_seed
+from .rank_core import DegenerateRanksError, derive_seed
 from .vector_measure import (  # noqa: F401  (bench/layers.py wraps t_n* here)
     PermutationPlan,
     _measure_plans,
@@ -215,10 +216,11 @@ def _montage_profiles(tensors, pairs, block_len: int, fs: float, measure: str,
     ``(x, y)`` region indices of each pair, ``seeds`` each pair's seed and
     ``plans`` its ``(plan_x, plan_y)``; ``plan_x`` is None unless the measure
     is ``tstar``.  A `vector_measure._MontagePlan` holds every pair's terms,
-    and each stack of frequencies evaluates them all in one sweep.  A pair is
-    NaN at a frequency where one of its response channels is constant, and
-    counts it in its ``n_degenerate``.  In ``workers`` processes of ``executor``, each
-    takes one contiguous chunk of the frequencies.
+    and each sweep evaluates them all over a stack of frequencies, sized by
+    `rank_core._xi_terms`.  A pair is NaN at a frequency where one of its
+    response channels is constant, and counts it in its ``n_degenerate``.  In
+    ``workers`` processes of ``executor``, each takes one contiguous chunk of
+    the frequencies.
     """
     n = tensors[0].n_blocks
     if n < 10:
@@ -258,25 +260,21 @@ def _montage_terms(task) -> np.ndarray:
 
     ``task`` holds the montage plan's key, each region's periodograms at the
     chunk's frequencies, the chunk's Fourier indices and the pair seeds.  The
-    frequencies go to the evaluator in stacks of `rank_core._stack_depth`,
-    as many as keep one sweep's workspace in cache: ten at 50 blocks and six
-    channels, one for the built-in montage at 115 blocks.
+    whole chunk goes to the evaluator, `rank_core._xi_terms`, which sizes
+    its own stacks of frequencies.
     """
     key, blocks, ks, seeds = task
     plan = _montage_plan(*key)
     # (frequency, block, montage column)
     z = np.ascontiguousarray(np.concatenate(blocks, axis=1).transpose(2, 0, 1))
-    step = _stack_depth(plan.sets, z.shape[1])
-    vals = np.empty((ks.size, len(plan.term_pair)))
-    for a in range(0, ks.size, step):
-        # a pair's seed at a frequency is derived only for a tie that needs it,
-        # once per stack
-        @functools.cache
-        def seed_at(f, pair):
-            return derive_seed(seeds[pair], "freq", int(ks[a + f]))
 
-        vals[a:a + step] = plan.term_values(z[a:a + step], seed_at)
-    return vals
+    # a pair's seed at a frequency is derived only for a tie that needs it,
+    # once per chunk
+    @functools.cache
+    def seed_at(f, pair):
+        return derive_seed(seeds[pair], "freq", int(ks[f]))
+
+    return plan.term_values(z, seed_at)
 
 
 def band_summary(profile: SpectralDependenceProfile,

@@ -17,14 +17,15 @@ over one column space, each region's channels once, cached by the region
 widths and each pair's regions and response orderings: per pair the term
 keys and the term indices of every ordering's chain.  Pairs that share a
 region share its predictor sets and its response ranks; `t_n`, `t_n_bar`
-and `t_n_star` run the one-pair plan.  Each stack of frequencies makes one
+and `t_n_star` run the one-pair plan.  Each chunk of frequencies makes one
 call of `rank_core._xi_terms`, the evaluator that `rank_core.xi_n` runs as one term
-at one frequency: one neighbour sweep over the distinct sets in
-lexicographic order (shared by all pairs, both directions of `t_n_star` and
-the stack's frequencies), one stable sort ranking every response channel at
-every frequency, one integer reduction for each distinct (response, set)
-pair's xi ratio, which the terms of that pair share.  The chains follow per
-pair, as vector sums across orderings and frequencies.
+at one frequency, and it sizes the stacks of frequencies.  Per stack: one
+neighbour sweep over the distinct sets in lexicographic order (shared by all
+pairs, both directions of `t_n_star` and the stack's frequencies), one
+stable sort ranking every response channel at every frequency, one integer
+reduction for each distinct (response, set) pair's xi ratio, which the
+terms of that pair share.  The chains follow per pair, as vector sums
+across orderings and frequencies.
 Exact ties are resolved per term with that term's seed, derived only when
 the search found a tie, so every term equals
 ``xi_n(response, predictors, seed=term_seed(...))``.  `nvc analyze` runs the
@@ -256,15 +257,15 @@ class _MontagePlan:
         self.term_resp = np.array([resp_of[c] for c in resp_cols])
 
     def term_values(self, z: np.ndarray, seed_at) -> np.ndarray:
-        """The xi value of every term at each of a stack of frequencies.
+        """The xi value of every term at each of k frequencies.
 
         ``z`` holds the montage columns at each frequency, ``(k, n,
         columns)``, and ``seed_at(f, i)`` gives pair i's seed at frequency f;
         it is called only for a term whose set has exact ties there.  One
-        call of `rank_core._xi_terms`, the evaluator behind `xi_n`, for the
-        whole stack: a term whose set has exact ties at a frequency resolves
-        them with its own `term_seed` there.  Returns ``(k, terms)``, NaN
-        where a term's response is constant.
+        call of `rank_core._xi_terms`, the evaluator behind `xi_n`, which
+        sizes the stacks of frequencies: a term whose set has exact ties at
+        a frequency resolves them with its own `term_seed` there.  Returns
+        ``(k, terms)``, NaN where a term's response is constant.
         """
         def seed_of(f, t):
             return term_seed(seed_at(f, self.term_pair[t]), *self.term_keys[t])

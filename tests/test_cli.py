@@ -188,6 +188,22 @@ class TestRegions:
         assert rc == EXIT_OK
 
 
+    def test_region_config_byte_order_mark_changes_no_output(self, two_region_recording,
+                                                            tmp_path):
+        # the region JSON is decoded as the recording is, a leading mark dropped
+        rec, reg = two_region_recording
+        argv = ["analyze", "--input", str(rec), "--regions", str(reg),
+                "--null-reps", "50", "--out-dir"]
+        assert main(argv + [str(tmp_path / "plain")]) == EXIT_OK
+        add_byte_order_mark(reg)
+        assert main(argv + [str(tmp_path / "mark")]) == EXIT_OK
+        files = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "mark").iterdir())
+        for name in files:
+            assert (tmp_path / "plain" / name).read_bytes() == \
+                (tmp_path / "mark" / name).read_bytes(), name
+
+
 class TestAnalyze:
     def test_outputs_and_schema(self, two_region_recording, tmp_path):
         rec, reg = two_region_recording
@@ -1008,9 +1024,15 @@ class TestFanOut:
     """`--threads` changes where profiles run, never what a command writes."""
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
-    def test_threads_write_identical_files(self, command, two_region_recording,
-                                           tmp_path):
-        rec, _ = two_region_recording
+    def test_threads_write_identical_files(self, command, rng, tmp_path):
+        # A1 and A2 repeat 15 blocks of noise, so at every frequency their
+        # sets have exact neighbour ties, which draw among blocks whose B1 and
+        # B2 differ; at 85 blocks a stack holds 7 frequencies, and the chunks
+        # of 3 processes, 17, 16 and 16 frequencies, cut stacks
+        rec = tmp_path / "rec.csv"
+        write_csv(rec, ["A1", "A2", "B1", "B2"],
+                  np.hstack([np.tile(rng.standard_normal((1500, 2)), (6, 1)),
+                             rng.standard_normal((9000, 2))]))
         reg = tmp_path / "three.json"
         write_regions(reg, {"RA": ["A1"], "RB": ["B1", "B2"], "RC": ["A2"]},
                       [["RA", "RB"], ["RC", "RB"]])
@@ -1018,16 +1040,18 @@ class TestFanOut:
                             "--null-reps", "50"],
                 "simulate": ["simulate", "--cases", "3", "4", "--n-secs", "10",
                              "--reps", "10", "--null-reps", "20"]}[command]
-        for threads in ("1", "2"):
+        counts = {"analyze": ("1", "2", "3"), "simulate": ("1", "2")}[command]
+        for threads in counts:
             assert main(argv + ["--threads", threads, "--seed", "3", "--out-dir",
                                 str(tmp_path / threads)]) == EXIT_OK
         files = sorted(p.name for p in (tmp_path / "1").iterdir())
-        assert files == sorted(p.name for p in (tmp_path / "2").iterdir())
         assert len(files) > 2
-        for name in files:
-            if name != "manifest.json":  # it records --threads
-                assert (tmp_path / "1" / name).read_bytes() == \
-                    (tmp_path / "2" / name).read_bytes(), name
+        for threads in counts[1:]:
+            assert files == sorted(p.name for p in (tmp_path / threads).iterdir())
+            for name in files:
+                if name != "manifest.json":  # it records --threads
+                    assert (tmp_path / "1" / name).read_bytes() == \
+                        (tmp_path / threads / name).read_bytes(), name
 
     @pytest.fixture
     def pool(self, monkeypatch):

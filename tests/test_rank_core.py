@@ -255,8 +255,9 @@ class TestNeighborSearch:
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       n=st.one_of(st.integers(2, 40), st.integers(rank_core._EXHAUSTIVE_MAX_N,
-                                                  rank_core._EXHAUSTIVE_MAX_N + 10)),
+       n=st.one_of(st.integers(2, 40), st.integers(100, rank_core._EXHAUSTIVE_MAX_N - 1),
+                   st.integers(rank_core._EXHAUSTIVE_MAX_N,
+                               rank_core._EXHAUSTIVE_MAX_N + 10)),
        k=st.integers(2, 4), d=st.integers(1, 9),
        large=st.sampled_from([0.5, 1.0, 4.0, 1e3]))
 def test_stacked_terms_equal_one_matrix_calls(seed, n, k, d, large):
@@ -268,7 +269,16 @@ def test_stacked_terms_equal_one_matrix_calls(seed, n, k, d, large):
     # and 1 share a response and a set but not a seed: the evaluator reduces
     # each (response, set) once, yet each term draws its own ties
     r = np.random.default_rng(seed)
+    # every set below is a subset of all d columns, so those fix the stack
+    # depth; from 100 rows on, the call takes more matrices than one stack
+    # holds, and the first matrix of the second stack has ties
+    depth = rank_core._stack_depth([tuple(range(d))], n)
+    several = 100 <= n < rank_core._EXHAUSTIVE_MAX_N
+    if several:
+        k += depth
     lattice = r.random(k) < 0.5
+    if several:
+        lattice[depth] = True
     z = np.where(lattice[:, None, None], r.integers(0, 3, size=(k, n, d)) * 0.1,
                  r.standard_normal((k, n, d)))
     y = np.where(lattice[:, None, None], r.integers(0, 3, size=(k, 3, n)),
